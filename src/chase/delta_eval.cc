@@ -178,11 +178,7 @@ std::shared_ptr<EvalResult> DeltaEvaluator::Evaluate(
   result->rel = Classify(ctx_.universe_, result->matches, ctx_.rep_);
   result->cl = result->rel.AnswerCloseness(ctx_.opts_.closeness.lambda);
   result->cl_plus = result->rel.UpperBound();
-  if (!result->matches.empty()) {
-    RepResult over_answer =
-        ComputeRep(ctx_.closeness_, ctx_.w_.exemplar, result->matches);
-    result->satisfies_exemplar = over_answer.nontrivial;
-  }
+  result->satisfies_exemplar = ctx_.SatisfiesExemplar(result->matches);
   ctx_.h_evaluate_ns_->Observe(NowNs() - t0);
   return result;
 }

@@ -197,6 +197,13 @@ class ChaseContext {
   /// The evaluated original query Q_0 (chase root).
   const std::shared_ptr<EvalResult>& root() const { return root_; }
 
+  /// Q(G) ⊨ ℰ for a match set of this question's focus (sorted, within
+  /// V_{u_o}): intersects it with the per-tuple Vsim sets computed once over
+  /// V_{u_o} and runs only the Lemma 2.2 constraint fixpoint — the verdict
+  /// ComputeRep(closeness(), exemplar, matches).nontrivial gives, without
+  /// its similarity and closeness passes.
+  bool SatisfiesExemplar(const std::vector<NodeId>& matches) const;
+
   // Question-level precomputation.
   const RepResult& rep() const { return rep_; }
   double cl_star() const { return cl_star_; }
@@ -260,6 +267,7 @@ class ChaseContext {
   StarMatcher star_matcher_;
 
   std::vector<NodeId> universe_;  // V_{u_o}
+  TupleMatchSets vsim_sets_;      // per tuple: its Vsim matches in V_{u_o}
   RepResult rep_;
   double cl_star_ = 0;
 

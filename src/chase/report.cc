@@ -47,9 +47,10 @@ void ChaseReport::DigestPhases(const std::vector<obs::PhaseStat>& phases,
 }
 
 uint64_t ChaseReport::QuestionFingerprint(const WhyQuestion& question) {
-  // FNV-1a over the query's canonical form plus the exemplar's shape. The
-  // canonical form is the same string the plan memo keys on, so computing it
-  // here adds one string hash to the hot path, nothing more.
+  // FNV-1a over the query's canonical form plus the exemplar's content. The
+  // canonical form is the same string the plan memo keys on; the exemplar
+  // goes in cell by cell, each list length-prefixed so that regrouping the
+  // same cells into different tuples changes the hash.
   uint64_t h = 1469598103934665603ull;
   const auto mix_byte = [&h](unsigned char b) {
     h ^= b;
@@ -61,8 +62,39 @@ uint64_t ChaseReport::QuestionFingerprint(const WhyQuestion& question) {
   const auto mix_word = [&mix_byte](uint64_t v) {
     for (int i = 0; i < 8; ++i) mix_byte((v >> (i * 8)) & 0xff);
   };
-  mix_word(question.exemplar.tuples().size());
-  mix_word(question.exemplar.constraints().size());
+  const auto mix_value = [&](const Value& v) {
+    mix_byte(static_cast<unsigned char>(v.kind()));
+    if (v.is_num()) {
+      const double num = v.num() == 0 ? 0.0 : v.num();  // -0 == 0
+      uint64_t bits = 0;
+      std::memcpy(&bits, &num, sizeof(bits));
+      mix_word(bits);
+    } else if (v.is_str()) {
+      mix_word(v.str());
+    }
+  };
+  const Exemplar& e = question.exemplar;
+  mix_word(e.tuples().size());
+  for (const TuplePattern& t : e.tuples()) {
+    mix_word(t.cells().size());
+    for (const PatternCell& cell : t.cells()) {
+      mix_word(cell.attr);
+      mix_value(cell.constant);
+    }
+  }
+  mix_word(e.constraints().size());
+  for (const ConstraintLiteral& c : e.constraints()) {
+    mix_byte(static_cast<unsigned char>(c.kind));
+    mix_word(c.lhs.tuple);
+    mix_word(c.lhs.attr);
+    mix_byte(static_cast<unsigned char>(c.op));
+    if (c.kind == ConstraintLiteral::Kind::kVarVar) {
+      mix_word(c.rhs.tuple);
+      mix_word(c.rhs.attr);
+    } else {
+      mix_value(c.constant);
+    }
+  }
   return h;
 }
 

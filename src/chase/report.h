@@ -77,9 +77,10 @@ class ChaseReport {
                            obs::RequestDigest& out);
 
   /// Stable 64-bit fingerprint of a Why-question: FNV-1a over the query's
-  /// canonical form mixed with the exemplar's tuple count. Groups repeats of
-  /// the same question in /requestz without storing the question text in the
-  /// fixed-memory ring.
+  /// canonical form and the exemplar's content — every tuple cell (attr,
+  /// value) and every constraint literal (kind, variables, op, constant).
+  /// Groups repeats of the same question in /requestz without storing the
+  /// question text in the fixed-memory ring.
   static uint64_t QuestionFingerprint(const WhyQuestion& question);
 };
 

@@ -26,20 +26,21 @@ double RepResult::ClosenessOf(NodeId v) const {
   return it == index_.end() ? 0.0 : it->second;
 }
 
-RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
-                     std::span<const NodeId> universe) {
-  const Graph& g = closeness.graph();
-  RepResult result;
-  const size_t num_tuples = e.tuples().size();
-  result.per_tuple.assign(num_tuples, {});
-
-  // Per-tuple vsim candidates: rep(t_i, V).
-  for (size_t i = 0; i < num_tuples; ++i) {
+TupleMatchSets ComputeVsimSets(const ClosenessEvaluator& closeness,
+                               const Exemplar& e,
+                               std::span<const NodeId> universe) {
+  TupleMatchSets sets(e.tuples().size());
+  for (size_t i = 0; i < sets.size(); ++i) {
     for (NodeId v : universe) {
-      if (closeness.Vsim(v, e.tuples()[i])) result.per_tuple[i].push_back(v);
+      if (closeness.Vsim(v, e.tuples()[i])) sets[i].push_back(v);
     }
   }
+  return sets;
+}
 
+bool EnforceConstraints(const Graph& g, const Exemplar& e,
+                        TupleMatchSets& per_tuple) {
+  const size_t num_tuples = per_tuple.size();
   // Fixpoint enforcement of C over the (node, tuple) match pairs. Every pass
   // only removes pairs, so the loop terminates.
   bool changed = true;
@@ -47,7 +48,7 @@ RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
     changed = false;
     for (const ConstraintLiteral& c : e.constraints()) {
       if (c.lhs.tuple >= num_tuples) continue;
-      auto& lhs_set = result.per_tuple[c.lhs.tuple];
+      auto& lhs_set = per_tuple[c.lhs.tuple];
 
       if (c.kind == ConstraintLiteral::Kind::kVarConst) {
         changed |= FilterInPlace(lhs_set, [&](NodeId v) {
@@ -58,7 +59,7 @@ RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
       }
 
       if (c.rhs.tuple >= num_tuples) continue;
-      auto& rhs_set = result.per_tuple[c.rhs.tuple];
+      auto& rhs_set = per_tuple[c.rhs.tuple];
 
       if (c.op == CmpOp::kEq) {
         // "For any pair v ~ t, v' ~ t': v.A = v'.A'." The maximal satisfying
@@ -125,15 +126,24 @@ RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
 
   // Coverage: V_C ⊨ 𝒯 needs every tuple matched by some surviving node.
   bool covered = num_tuples > 0;
-  for (const auto& matches : result.per_tuple) {
+  for (const auto& matches : per_tuple) {
     if (matches.empty()) covered = false;
   }
-  result.nontrivial = covered;
   if (!covered) {
-    for (auto& matches : result.per_tuple) matches.clear();
-    return result;
+    for (auto& matches : per_tuple) matches.clear();
   }
+  return covered;
+}
 
+RepResult ComputeRepFromVsimSets(const ClosenessEvaluator& closeness,
+                                 const Exemplar& e, TupleMatchSets vsim_sets) {
+  RepResult result;
+  result.per_tuple = std::move(vsim_sets);
+  result.nontrivial =
+      EnforceConstraints(closeness.graph(), e, result.per_tuple);
+  if (!result.nontrivial) return result;
+
+  const size_t num_tuples = result.per_tuple.size();
   for (size_t i = 0; i < num_tuples; ++i) {
     for (NodeId v : result.per_tuple[i]) {
       const double cl = closeness.ClNodeTuple(v, e.tuples()[i]);
@@ -147,6 +157,12 @@ RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
   result.closeness.reserve(result.nodes.size());
   for (NodeId v : result.nodes) result.closeness.push_back(result.index_[v]);
   return result;
+}
+
+RepResult ComputeRep(const ClosenessEvaluator& closeness, const Exemplar& e,
+                     std::span<const NodeId> universe) {
+  return ComputeRepFromVsimSets(closeness, e,
+                                ComputeVsimSets(closeness, e, universe));
 }
 
 }  // namespace wqe

@@ -62,64 +62,4 @@ uint32_t BoundedBfs::Distance(NodeId u, NodeId v, uint32_t cap) {
   return best <= cap ? best : kInfDist;
 }
 
-template <bool kForward>
-void BoundedBfs::Sweep(NodeId src, uint32_t cap,
-                       const std::function<void(NodeId, uint32_t)>& fn) {
-  ++epoch_;
-  auto& mark = kForward ? mark_fwd_ : mark_bwd_;
-  auto& dist = kForward ? dist_fwd_ : dist_bwd_;
-  auto& queue = kForward ? queue_fwd_ : queue_bwd_;
-  queue.clear();
-  queue.push_back(src);
-  mark[src] = epoch_;
-  dist[src] = 0;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    NodeId x = queue[head];
-    fn(x, dist[x]);
-    if (dist[x] >= cap) continue;
-    auto neighbors = kForward ? g_.out(x) : g_.in(x);
-    for (NodeId y : neighbors) {
-      if (mark[y] == epoch_) continue;
-      mark[y] = epoch_;
-      dist[y] = dist[x] + 1;
-      queue.push_back(y);
-    }
-  }
-}
-
-void BoundedBfs::Forward(NodeId src, uint32_t cap,
-                         const std::function<void(NodeId, uint32_t)>& fn) {
-  Sweep<true>(src, cap, fn);
-}
-
-void BoundedBfs::Backward(NodeId src, uint32_t cap,
-                          const std::function<void(NodeId, uint32_t)>& fn) {
-  Sweep<false>(src, cap, fn);
-}
-
-void BoundedBfs::Undirected(NodeId src, uint32_t cap,
-                            const std::function<void(NodeId, uint32_t)>& fn) {
-  ++epoch_;
-  auto& mark = mark_fwd_;
-  auto& dist = dist_fwd_;
-  auto& queue = queue_fwd_;
-  queue.clear();
-  queue.push_back(src);
-  mark[src] = epoch_;
-  dist[src] = 0;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    NodeId x = queue[head];
-    fn(x, dist[x]);
-    if (dist[x] >= cap) continue;
-    for (auto neighbors : {g_.out(x), g_.in(x)}) {
-      for (NodeId y : neighbors) {
-        if (mark[y] == epoch_) continue;
-        mark[y] = epoch_;
-        dist[y] = dist[x] + 1;
-        queue.push_back(y);
-      }
-    }
-  }
-}
-
 }  // namespace wqe

@@ -2,7 +2,6 @@
 #define WQE_GRAPH_BFS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,26 +25,31 @@ class BoundedBfs {
   uint32_t Distance(NodeId u, NodeId v, uint32_t cap);
 
   /// Visits every node w with dist(src, w) <= cap (following out-edges),
-  /// invoking fn(w, dist). Includes src at distance 0.
-  void Forward(NodeId src, uint32_t cap,
-               const std::function<void(NodeId, uint32_t)>& fn);
+  /// invoking visit(w, dist) in BFS order. Includes src at distance 0. The
+  /// visitor is a template parameter, so the per-node call inlines (these
+  /// sweeps feed the matcher's ball memo and star-table rows).
+  template <typename Visit>
+  void Forward(NodeId src, uint32_t cap, Visit&& visit) {
+    Sweep<true>(src, cap, visit);
+  }
 
   /// Visits every node w with dist(w, src) <= cap (following in-edges).
-  void Backward(NodeId src, uint32_t cap,
-                const std::function<void(NodeId, uint32_t)>& fn);
+  template <typename Visit>
+  void Backward(NodeId src, uint32_t cap, Visit&& visit) {
+    Sweep<false>(src, cap, visit);
+  }
 
   /// Visits every node within `cap` hops of src ignoring edge direction
   /// (used for star-view augmented edges, whose label is an undirected
   /// pattern distance).
-  void Undirected(NodeId src, uint32_t cap,
-                  const std::function<void(NodeId, uint32_t)>& fn);
+  template <typename Visit>
+  void Undirected(NodeId src, uint32_t cap, Visit&& visit);
 
   const Graph& graph() const { return g_; }
 
  private:
-  template <bool kForward>
-  void Sweep(NodeId src, uint32_t cap,
-             const std::function<void(NodeId, uint32_t)>& fn);
+  template <bool kForward, typename Visit>
+  void Sweep(NodeId src, uint32_t cap, Visit& visit);
 
   const Graph& g_;
   uint32_t epoch_ = 0;
@@ -53,6 +57,55 @@ class BoundedBfs {
   std::vector<uint32_t> mark_bwd_, dist_bwd_;
   std::vector<NodeId> queue_fwd_, queue_bwd_;
 };
+
+template <bool kForward, typename Visit>
+void BoundedBfs::Sweep(NodeId src, uint32_t cap, Visit& visit) {
+  ++epoch_;
+  auto& mark = kForward ? mark_fwd_ : mark_bwd_;
+  auto& dist = kForward ? dist_fwd_ : dist_bwd_;
+  auto& queue = kForward ? queue_fwd_ : queue_bwd_;
+  queue.clear();
+  queue.push_back(src);
+  mark[src] = epoch_;
+  dist[src] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId x = queue[head];
+    visit(x, dist[x]);
+    if (dist[x] >= cap) continue;
+    auto neighbors = kForward ? g_.out(x) : g_.in(x);
+    for (NodeId y : neighbors) {
+      if (mark[y] == epoch_) continue;
+      mark[y] = epoch_;
+      dist[y] = dist[x] + 1;
+      queue.push_back(y);
+    }
+  }
+}
+
+template <typename Visit>
+void BoundedBfs::Undirected(NodeId src, uint32_t cap, Visit&& visit) {
+  ++epoch_;
+  auto& mark = mark_fwd_;
+  auto& dist = dist_fwd_;
+  auto& queue = queue_fwd_;
+  queue.clear();
+  queue.push_back(src);
+  mark[src] = epoch_;
+  dist[src] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId x = queue[head];
+    visit(x, dist[x]);
+    if (dist[x] >= cap) continue;
+    for (auto neighbors : {g_.out(x), g_.in(x)}) {
+      for (NodeId y : neighbors) {
+        if (mark[y] == epoch_) continue;
+        mark[y] = epoch_;
+        dist[y] = dist[x] + 1;
+        queue.push_back(y);
+      }
+    }
+  }
+}
 
 }  // namespace wqe
 

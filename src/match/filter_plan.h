@@ -47,6 +47,13 @@ class FilterPlan {
   bool has_predicates() const { return !groups_.empty(); }
   const std::string& fingerprint() const { return fingerprint_; }
 
+  /// Byte-exact identity of the compiled filter: the label plus every
+  /// literal's (attr, op, value kind, payload bits), literals sorted. fingerprint() renders numbers through std::to_string (six
+  /// decimals), so it can merge filters that differ in a far digit; equal
+  /// exact keys always mean the same conjunction. Keys the matcher's
+  /// filtered-ball memo.
+  const std::string& exact_key() const { return exact_key_; }
+
   /// Full per-node probe: label stage + predicate stage. Equivalent to
   /// IsCandidate on the same node, evaluated against the columnar view.
   bool Admits(const GraphView& view, NodeId v) const {
@@ -80,6 +87,7 @@ class FilterPlan {
   std::vector<Group> groups_;       // ascending attr
   std::vector<CompiledPred> preds_; // flat, grouped by attr
   std::string fingerprint_;
+  std::string exact_key_;
 };
 
 /// The compiled filters of every node of one pattern query, compiled once

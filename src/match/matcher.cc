@@ -1,23 +1,43 @@
 #include "match/matcher.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
 #include "common/thread_pool.h"
+#include "match/ball.h"
 #include "match/candidate_set.h"
 #include "obs/trace.h"
 
 namespace wqe {
 
-Matcher::Matcher(const Graph& g, DistanceIndex* dist)
-    : g_(g), dist_(dist), bfs_(g) {}
+namespace {
 
-std::vector<Matcher::PlanStep> Matcher::BuildPlan(const PatternQuery& q) const {
+/// Memo cells per graph element (node or edge): the filtered-ball memo of
+/// one matcher may hold 16 × (|V| + |E|) node ids before it is reset.
+constexpr size_t kBallCellsPerElement = 16;
+/// Cells charged per memo entry and per ball-key slot (a hash-map node plus
+/// its bucket is about the size of eight node ids).
+constexpr size_t kBallEntryCells = 8;
+
+}  // namespace
+
+Matcher::Matcher(const Graph& g, DistanceIndex* dist)
+    : g_(g),
+      dist_(dist),
+      bfs_(g),
+      ball_budget_(kBallCellsPerElement * (g.num_nodes() + g.num_edges())) {}
+
+std::shared_ptr<const Matcher::MatchPlan> Matcher::BuildPlan(
+    const PatternQuery& q) {
+  static std::atomic<uint64_t> next_serial{1};
+  auto plan = std::make_shared<MatchPlan>();
+  plan->filters = match::QueryFilterPlans::Compile(q);
+  plan->serial = next_serial.fetch_add(1, std::memory_order_relaxed);
+
   const auto mask = q.ActiveMask();
   std::vector<bool> placed(q.num_nodes(), false);
   placed[q.focus()] = true;
-
-  std::vector<PlanStep> plan;
   bool progress = true;
   while (progress) {
     progress = false;
@@ -55,8 +75,14 @@ std::vector<Matcher::PlanStep> Matcher::BuildPlan(const PatternQuery& q) const {
         }
       }
       if (step.anchor == kNoQNode) continue;
+      BallKey& key = step.ball;
+      key.filter = plan->filters.at(u).exact_key();
+      key.bound = step.anchor_bound;
+      key.outgoing = step.anchor_outgoing;
+      key.hash = std::hash<std::string>{}(key.filter) * 31 +
+                 key.bound * 2 + (key.outgoing ? 1 : 0);
       placed[u] = true;
-      plan.push_back(std::move(step));
+      plan->steps.push_back(std::move(step));
       progress = true;
     }
   }
@@ -78,9 +104,7 @@ const Matcher::MatchPlan& Matcher::PlanFor(const PatternQuery& q) {
       return *plan_cache_;
     }
   }
-  auto built = std::make_shared<MatchPlan>();
-  built->steps = BuildPlan(q);
-  built->filters = match::QueryFilterPlans::Compile(q);
+  auto built = BuildPlan(q);
   if (shared_plans_ != nullptr) shared_plans_->Publish(fp, built);
   plan_cache_ = std::move(built);
   plan_fp_ = std::move(fp);
@@ -89,9 +113,50 @@ const Matcher::MatchPlan& Matcher::PlanFor(const PatternQuery& q) {
   return *plan_cache_;
 }
 
+void Matcher::BeginProbe(const MatchPlan& plan) {
+  const size_t charged = ball_cells_.size() +
+                         (balls_.size() + ball_slots_.size()) * kBallEntryCells;
+  if (charged > ball_budget_) {
+    ball_cells_.clear();
+    balls_.clear();
+    ball_slots_.clear();
+    resolved_plan_ = 0;
+    ++stats_.ball_evictions;
+  }
+  if (plan.serial != 0 && plan.serial == resolved_plan_) return;
+  step_slots_.resize(plan.steps.size());
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const uint32_t next = static_cast<uint32_t>(ball_slots_.size());
+    step_slots_[i] = ball_slots_.try_emplace(plan.steps[i].ball, next)
+                         .first->second;
+  }
+  resolved_plan_ = plan.serial;
+}
+
+Matcher::BallSpan Matcher::Ball(const PatternQuery& q, const MatchPlan& plan,
+                                size_t depth, NodeId anchor_match) {
+  const uint64_t key = (uint64_t{step_slots_[depth]} << 32) | anchor_match;
+  auto [it, inserted] = balls_.try_emplace(key);
+  if (!inserted) {
+    ++stats_.ball_hits;
+    return it->second;
+  }
+  ++stats_.ball_fills;
+  const PlanStep& step = plan.steps[depth];
+  const size_t begin = ball_cells_.size();
+  match::ForEachFilteredBallNode(
+      bfs_, anchor_match, step.anchor_bound,
+      step.anchor_outgoing ? match::BallDir::kOut : match::BallDir::kIn,
+      /*include_center=*/false,
+      [&](NodeId w) { return Admits(q, plan, step.node, w); },
+      [&](NodeId w, uint32_t) { ball_cells_.push_back(w); });
+  it->second = {static_cast<uint32_t>(begin),
+                static_cast<uint32_t>(ball_cells_.size() - begin)};
+  return it->second;
+}
+
 bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
-                     std::vector<NodeId>& assign,
-                     std::vector<bool>& /*used*/, size_t limit, size_t& emitted,
+                     std::vector<NodeId>& assign, size_t limit, size_t& emitted,
                      const std::vector<const std::vector<NodeId>*>* allowed,
                      const std::function<bool(const std::vector<NodeId>&)>& cb) {
   if (depth == plan.steps.size()) {
@@ -100,42 +165,28 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
     return keep_going && emitted < limit;
   }
   const PlanStep& step = plan.steps[depth];
-  const NodeId anchor_match = assign[step.anchor];
-
   // Candidates of step.node inside the bounded ball around the anchor match.
-  std::vector<NodeId> ball;
-  auto collect = [&](NodeId w, uint32_t) {
-    if (w != anchor_match) ball.push_back(w);
-  };
-  if (step.anchor_outgoing) {
-    bfs_.Forward(anchor_match, step.anchor_bound, collect);
-  } else {
-    bfs_.Backward(anchor_match, step.anchor_bound, collect);
-  }
-
-  for (NodeId v : ball) {
+  const BallSpan ball = Ball(q, plan, depth, assign[step.anchor]);
+  const std::vector<NodeId>* ok_set =
+      allowed != nullptr ? (*allowed)[step.node] : nullptr;
+  for (uint32_t i = 0; i < ball.size; ++i) {
+    // Indexed rather than iterated: fills in deeper frames may grow (and
+    // reallocate) the arena.
+    const NodeId v = ball_cells_[ball.begin + i];
     ++stats_.node_expansions;
-    if (!Admits(q, plan, step.node, v)) continue;
-    if (allowed != nullptr && (*allowed)[step.node] != nullptr) {
-      const auto& ok = *(*allowed)[step.node];
-      if (!std::binary_search(ok.begin(), ok.end(), v)) continue;
+    if (ok_set != nullptr &&
+        !std::binary_search(ok_set->begin(), ok_set->end(), v)) {
+      continue;
     }
     // Injectivity.
-    bool clash = false;
-    for (NodeId a : assign) {
-      if (a == v) {
-        clash = true;
-        break;
-      }
-    }
-    if (clash) continue;
+    if (std::find(assign.begin(), assign.end(), v) != assign.end()) continue;
     // Remaining edge constraints to already-assigned nodes.
     bool ok = true;
     for (const PlanStep::Check& check : step.checks) {
       const NodeId other_match = assign[check.other];
-      // Const distance path with this matcher's own BFS scratch (bfs_ is
-      // between sweeps here: the ball was fully collected above), so worker
-      // matchers can share one frozen DistanceIndex.
+      // Const distance path with this matcher's own BFS scratch (no sweep
+      // is in flight here: balls are swept whole before they are walked),
+      // so worker matchers can share one frozen DistanceIndex.
       const uint32_t d =
           check.outgoing
               ? dist_->Distance(v, other_match, check.bound, bfs_)
@@ -147,9 +198,8 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
     }
     if (!ok) continue;
     assign[step.node] = v;
-    std::vector<bool> unused;
     const bool keep_going =
-        Extend(q, plan, depth + 1, assign, unused, limit, emitted, allowed, cb);
+        Extend(q, plan, depth + 1, assign, limit, emitted, allowed, cb);
     assign[step.node] = kInvalidNode;
     if (!keep_going) return false;
   }
@@ -168,11 +218,11 @@ void Matcher::Valuations(
     if (!IsCandidate(g_, q, q.focus(), focus_match)) return;
     plan = &PlanFor(q);
   }
+  BeginProbe(*plan);
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = focus_match;
-  std::vector<bool> unused;
   size_t emitted = 0;
-  Extend(q, *plan, 0, assign, unused, limit, emitted, nullptr, cb);
+  Extend(q, *plan, 0, assign, limit, emitted, nullptr, cb);
 }
 
 bool Matcher::IsMatch(const PatternQuery& q, NodeId v) {
@@ -203,12 +253,12 @@ bool Matcher::IsMatchRestricted(
     const auto& ok = *allowed[q.focus()];
     if (!std::binary_search(ok.begin(), ok.end(), v)) return false;
   }
+  BeginProbe(plan);
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = v;
-  std::vector<bool> unused;
   size_t emitted = 0;
   bool found = false;
-  Extend(q, plan, 0, assign, unused, 1, emitted, &allowed,
+  Extend(q, plan, 0, assign, 1, emitted, &allowed,
          [&](const std::vector<NodeId>&) {
            found = true;
            return false;

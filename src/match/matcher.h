@@ -25,6 +25,9 @@ struct MatchStats {
   uint64_t plan_cache_hits = 0;      // plans reused via the fingerprint memo
   uint64_t candidates_seeded = 0;    // label-bucket seeds into the pipeline
   uint64_t candidates_filtered = 0;  // survivors of the predicate stage
+  uint64_t ball_hits = 0;            // Extend steps served by the ball memo
+  uint64_t ball_fills = 0;           // filtered balls swept into the memo
+  uint64_t ball_evictions = 0;       // whole-memo resets at the cell budget
 
   /// Folds another thread's counters into this one (ordered reductions after
   /// parallel verification; all counters are commutative sums).
@@ -35,6 +38,9 @@ struct MatchStats {
     plan_cache_hits += other.plan_cache_hits;
     candidates_seeded += other.candidates_seeded;
     candidates_filtered += other.candidates_filtered;
+    ball_hits += other.ball_hits;
+    ball_fills += other.ball_fills;
+    ball_evictions += other.ball_evictions;
   }
 };
 
@@ -47,6 +53,14 @@ struct MatchStats {
 /// new node draws its candidates from the bounded ball around an
 /// already-assigned pattern neighbor, then checks every other assigned
 /// neighbor through the distance index.
+///
+/// The filtered ball of a step depends only on the graph, the step node's
+/// filter, the anchor edge's bound and direction, and the anchor's match —
+/// not on the rewrite. Rewrites of one chase share most node filters, so
+/// each matcher memoizes these balls (the admitted nodes in BFS order) and
+/// sweeps a ball once instead of once per probe. The memo holds a fixed
+/// cell budget derived from the graph size and is reset whole, only between
+/// top-level probes, when it is over budget.
 ///
 /// Candidate filtering runs one of two ways, byte-identical in output:
 ///  - pipeline on (the default): every per-node probe goes through the
@@ -87,11 +101,27 @@ class Matcher {
   /// Whether some valuation maps the focus to `v`.
   bool IsMatch(const PatternQuery& q, NodeId v);
 
+  /// Identity of one step's candidate ball, up to the anchor's match: the
+  /// step node's exact filter key, the anchor edge's bound and direction.
+  /// Hashed once when the plan is built.
+  struct BallKey {
+    std::string filter;  // FilterPlan::exact_key of the step node
+    uint32_t bound = 0;
+    bool outgoing = true;
+    size_t hash = 0;
+
+    friend bool operator==(const BallKey& a, const BallKey& b) {
+      return a.bound == b.bound && a.outgoing == b.outgoing &&
+             a.filter == b.filter;
+    }
+  };
+
   struct PlanStep {
     QNodeId node = kNoQNode;    // query node to assign
     QNodeId anchor = kNoQNode;  // already-assigned neighbor to expand from
     uint32_t anchor_bound = 0;  // bound of the anchor edge
     bool anchor_outgoing = true;  // true: anchor -> node; false: node -> anchor
+    BallKey ball;                 // memo key of the anchor ball
     // Other edges from `node` to already-assigned nodes (checked via dist).
     struct Check {
       QNodeId other;
@@ -107,6 +137,9 @@ class Matcher {
   struct MatchPlan {
     std::vector<PlanStep> steps;
     match::QueryFilterPlans filters;
+    /// Process-unique serial (never reused, 0 = none): lets a matcher keep
+    /// its resolution of the steps' ball keys across the probes of a batch.
+    uint64_t serial = 0;
   };
 
   /// The plan for `q`, memoized by query fingerprint: Answer / star-view
@@ -134,6 +167,8 @@ class Matcher {
   /// Enumerates complete valuations with h(focus) = focus_match, invoking
   /// `cb` with the assignment (indexed by QNodeId; kInvalidNode on inactive
   /// nodes). Stops when cb returns false or `limit` valuations were emitted.
+  /// `cb` must not call back into this matcher: the enumeration walks spans
+  /// of the matcher's ball memo.
   void Valuations(const PatternQuery& q, NodeId focus_match, size_t limit,
                   const std::function<bool(const std::vector<NodeId>&)>& cb);
 
@@ -142,9 +177,9 @@ class Matcher {
   DistanceIndex& dist() { return *dist_; }
 
  private:
-  /// Builds the BFS assignment plan for the active pattern. Returns false if
-  /// the focus is inactive (cannot happen: focus defines activity).
-  std::vector<PlanStep> BuildPlan(const PatternQuery& q) const;
+  /// Compiles `q`'s plan: the BFS assignment order from the focus, the
+  /// per-node filters, each step's ball key, and a fresh serial.
+  static std::shared_ptr<const MatchPlan> BuildPlan(const PatternQuery& q);
 
   /// Per-node candidate probe during the backtracking search: the compiled
   /// filter when the pipeline is on, interpreted IsCandidate otherwise.
@@ -155,10 +190,29 @@ class Matcher {
   }
 
   bool Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
-              std::vector<NodeId>& assign, std::vector<bool>& used_query_nodes,
-              size_t limit, size_t& emitted,
+              std::vector<NodeId>& assign, size_t limit, size_t& emitted,
               const std::vector<const std::vector<NodeId>*>* allowed,
               const std::function<bool(const std::vector<NodeId>&)>& cb);
+
+  /// A memoized filtered ball: ball_cells_[begin, begin + size).
+  struct BallSpan {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+
+  struct BallKeyHash {
+    size_t operator()(const BallKey& k) const { return k.hash; }
+  };
+
+  /// Entry into a top-level probe: resets the memo when it is over budget
+  /// (no Extend frame is iterating a span here) and resolves `plan`'s ball
+  /// keys to memo slots unless they already are.
+  void BeginProbe(const MatchPlan& plan);
+
+  /// The filtered ball of `plan.steps[depth]` around `anchor_match`, from
+  /// the memo or swept into it.
+  BallSpan Ball(const PatternQuery& q, const MatchPlan& plan, size_t depth,
+                NodeId anchor_match);
 
   const Graph& g_;
   DistanceIndex* dist_;
@@ -166,6 +220,15 @@ class Matcher {
   MatchStats stats_;
   SharedPlans* shared_plans_ = nullptr;
   bool use_pipeline_ = true;
+
+  // Filtered-ball memo. Spans index the arena, so a fill may grow it while
+  // outer Extend frames iterate theirs.
+  std::unordered_map<BallKey, uint32_t, BallKeyHash> ball_slots_;
+  std::unordered_map<uint64_t, BallSpan> balls_;  // slot << 32 | anchor
+  std::vector<NodeId> ball_cells_;
+  size_t ball_budget_;     // cells; each memo entry counts kBallEntryCells
+  uint64_t resolved_plan_ = 0;  // serial whose keys step_slots_ holds
+  std::vector<uint32_t> step_slots_;
 
   // Single-entry plan memo keyed by query fingerprint. Holds a shared_ptr so
   // a plan pulled from (or published to) the cross-matcher memo stays alive

@@ -57,6 +57,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
     c_tables_built_ = c_candidates_ = c_verified_ = nullptr;
     c_plan_compiles_ = c_plan_hits_ = nullptr;
     c_stage_seeded_ = c_stage_filtered_ = c_stage_verified_ = nullptr;
+    c_ball_hits_ = c_ball_fills_ = nullptr;
     return;
   }
   c_tables_built_ = &o->metrics.counter("match.tables_built");
@@ -67,12 +68,16 @@ void StarMatcher::set_observability(obs::Observability* o) {
   c_stage_seeded_ = &o->metrics.counter("match.stage.seeded");
   c_stage_filtered_ = &o->metrics.counter("match.stage.filtered");
   c_stage_verified_ = &o->metrics.counter("match.stage.verified");
+  c_ball_hits_ = &o->metrics.counter("match.ball.hits");
+  c_ball_fills_ = &o->metrics.counter("match.ball.fills");
   // Registry deltas start from the matcher's current totals so re-attaching
   // a scope never replays activity observed by a previous one.
   plan_builds_seen_ = matcher_.stats().plan_builds;
   plan_hits_seen_ = matcher_.stats().plan_cache_hits;
   stage_seeded_seen_ = matcher_.stats().candidates_seeded;
   stage_filtered_seen_ = matcher_.stats().candidates_filtered;
+  ball_hits_seen_ = matcher_.stats().ball_hits;
+  ball_fills_seen_ = matcher_.stats().ball_fills;
 }
 
 void StarMatcher::FlushPlanCounters() {
@@ -82,10 +87,14 @@ void StarMatcher::FlushPlanCounters() {
   c_plan_hits_->Inc(s.plan_cache_hits - plan_hits_seen_);
   c_stage_seeded_->Inc(s.candidates_seeded - stage_seeded_seen_);
   c_stage_filtered_->Inc(s.candidates_filtered - stage_filtered_seen_);
+  c_ball_hits_->Inc(s.ball_hits - ball_hits_seen_);
+  c_ball_fills_->Inc(s.ball_fills - ball_fills_seen_);
   plan_builds_seen_ = s.plan_builds;
   plan_hits_seen_ = s.plan_cache_hits;
   stage_seeded_seen_ = s.candidates_seeded;
   stage_filtered_seen_ = s.candidates_filtered;
+  ball_hits_seen_ = s.ball_hits;
+  ball_fills_seen_ = s.ball_fills;
 }
 
 match::CandidateSet StarMatcher::FocusCandidates(const PatternQuery& q) {
@@ -182,10 +191,16 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
 
   WQE_SPAN("match.verify");
   if (priority != nullptr) {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](NodeId a, NodeId b) {
-                       return (*priority)(a) > (*priority)(b);
+    // One priority lookup per candidate, then a stable sort on the keys:
+    // the same order as comparing priority(a) > priority(b) pairwise.
+    std::vector<std::pair<double, NodeId>> keyed;
+    keyed.reserve(candidates.size());
+    for (NodeId v : candidates) keyed.emplace_back((*priority)(v), v);
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
                      });
+    for (size_t i = 0; i < keyed.size(); ++i) candidates[i] = keyed[i].second;
   }
 
   std::vector<NodeId> matches;

@@ -136,9 +136,10 @@ class StarMatcher {
 
  private:
   /// Mirrors the primary matcher's pipeline deltas since the last flush into
-  /// the registry: plan-memo traffic (match.plan.*) and the candidate-funnel
-  /// stage counts (match.stage.seeded/.filtered — table builds and focus
-  /// scans both accumulate into the matcher's stats).
+  /// the registry: plan-memo traffic (match.plan.*), ball-memo traffic
+  /// (match.ball.*) and the candidate-funnel stage counts
+  /// (match.stage.seeded/.filtered — table builds and focus scans both
+  /// accumulate into the matcher's stats).
   void FlushPlanCounters();
 
   const Graph& g_;
@@ -162,11 +163,15 @@ class StarMatcher {
   obs::Counter* c_stage_seeded_ = nullptr;
   obs::Counter* c_stage_filtered_ = nullptr;
   obs::Counter* c_stage_verified_ = nullptr;
+  obs::Counter* c_ball_hits_ = nullptr;
+  obs::Counter* c_ball_fills_ = nullptr;
   // Stats snapshots behind the registry deltas (counters are monotone).
   uint64_t plan_builds_seen_ = 0;
   uint64_t plan_hits_seen_ = 0;
   uint64_t stage_seeded_seen_ = 0;
   uint64_t stage_filtered_seen_ = 0;
+  uint64_t ball_hits_seen_ = 0;
+  uint64_t ball_fills_seen_ = 0;
 };
 
 }  // namespace wqe

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/thread_pool.h"
+#include "match/ball.h"
 #include "match/candidates.h"
 #include "match/matcher.h"
 
@@ -33,24 +34,22 @@ bool StarMaterializer::BuildRow(const PatternQuery& q, const StarQuery& star,
   for (size_t s = 0; s < star.spokes.size() && viable; ++s) {
     const StarSpoke& spoke = star.spokes[s];
     auto& cell = row.spoke_matches[s];
-    auto collect = [&](NodeId w, uint32_t d) {
-      if (w == c) return;
-      if (admits(spoke.other, w)) cell.push_back({w, d});
-    };
-    if (spoke.outgoing) {
-      bfs.Forward(c, spoke.bound, collect);
-    } else {
-      bfs.Backward(c, spoke.bound, collect);
-    }
+    match::ForEachFilteredBallNode(
+        bfs, c, spoke.bound,
+        spoke.outgoing ? match::BallDir::kOut : match::BallDir::kIn,
+        /*include_center=*/false,
+        [&](NodeId w) { return admits(spoke.other, w); },
+        [&](NodeId w, uint32_t d) { cell.push_back({w, d}); });
     if (cell.empty()) viable = false;
   }
   if (!viable) return false;
 
   if (!star.contains_focus && star.aug_bound > 0) {
-    auto collect = [&](NodeId w, uint32_t d) {
-      if (admits(q.focus(), w)) row.focus_matches.push_back({w, d});
-    };
-    bfs.Undirected(c, star.aug_bound, collect);
+    match::ForEachFilteredBallNode(
+        bfs, c, star.aug_bound, match::BallDir::kUndirected,
+        /*include_center=*/true,
+        [&](NodeId w) { return admits(q.focus(), w); },
+        [&](NodeId w, uint32_t d) { row.focus_matches.push_back({w, d}); });
     if (row.focus_matches.empty()) return false;
   }
   return true;

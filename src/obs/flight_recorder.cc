@@ -1,7 +1,9 @@
 #include "obs/flight_recorder.h"
 
 #include <csignal>
+#include <cstring>
 #include <sstream>
+#include <thread>
 
 #include "obs/json.h"
 
@@ -35,11 +37,27 @@ std::string RequestDigest::ToJson() const {
 void FlightRecorder::Slot::Write(const RequestDigest& d) {
   uint64_t staged[kWords] = {};
   std::memcpy(staged, &d, sizeof(d));
-  seq.fetch_add(1, std::memory_order_acq_rel);  // odd: write in progress
+  // Writers whose ring positions collide take the slot in turn: only the
+  // one that moves seq from even to odd writes. (Two bare increments let a
+  // second writer turn seq even again while the first was mid-write, and a
+  // reader then accepted the mixed words.)
+  uint64_t s = seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((s & 1) == 0 &&
+        seq.compare_exchange_weak(s, s + 1, std::memory_order_acq_rel,
+                                  std::memory_order_relaxed)) {
+      break;  // odd: write in progress
+    }
+    if ((s & 1) != 0) {
+      std::this_thread::yield();
+      s = seq.load(std::memory_order_relaxed);
+    }
+  }
+  std::atomic_thread_fence(std::memory_order_release);
   for (size_t w = 0; w < kWords; ++w) {
     words[w].store(staged[w], std::memory_order_relaxed);
   }
-  seq.fetch_add(1, std::memory_order_acq_rel);  // even: stable
+  seq.store(s + 2, std::memory_order_release);  // even: stable
 }
 
 bool FlightRecorder::Slot::Read(RequestDigest* out) const {

@@ -95,11 +95,12 @@ class FlightRecorder {
   std::string ToJson() const;
 
  private:
-  /// One seqlock-guarded slot. An even sequence is stable; a writer bumps it
-  /// odd, stores the digest as relaxed words, and bumps it even again.
-  /// Collisions (two writers lapping onto one slot) resolve to a torn
-  /// sequence the reader rejects — with capacity >> concurrency they are
-  /// vanishingly rare, and the cost is one missing digest, not corruption.
+  /// One seqlock-guarded slot. An even sequence is stable; a writer moves it
+  /// from even to odd by compare-and-swap, stores the digest as relaxed
+  /// words, and moves it to the next even value. Writers lapping onto one
+  /// slot therefore write it in turn (the loser spins until the slot is
+  /// even again) — with capacity >> concurrency that wait is vanishingly
+  /// rare — and a reader never accepts words from two writers.
   struct Slot {
     static constexpr size_t kWords =
         (sizeof(RequestDigest) + sizeof(uint64_t) - 1) / sizeof(uint64_t);

@@ -30,6 +30,8 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "delta_eval.reuse_hits",
     "delta_eval.reverified",
     "delta_eval.skipped",
+    "match.ball.fills",
+    "match.ball.hits",
     "match.focus_candidates",
     "match.focus_verified",
     "match.plan.compiles",

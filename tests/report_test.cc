@@ -16,6 +16,47 @@ TEST(ReportTest, EscapeHandlesSpecials) {
   EXPECT_EQ(ChaseReport::Escape("plain"), "plain");
 }
 
+TEST(ReportTest, QuestionFingerprintSeparatesExemplarsOfEqualSize) {
+  // Two tuples and one constraint each: every variant below has the same
+  // tuple and constraint counts as the base, so only content can tell them
+  // apart.
+  ProductDemo demo;
+  const Schema& schema = demo.graph().schema();
+  const AttrId price = schema.LookupAttr("price");
+  const AttrId ram = schema.LookupAttr("ram");
+  const auto make = [&](double first_price, AttrId second_attr, CmpOp op,
+                        double bound) {
+    WhyQuestion w = demo.Question();
+    Exemplar e;
+    TuplePattern t0;
+    t0.SetConstant(price, Value::Num(first_price));
+    TuplePattern t1;
+    t1.SetWildcard(second_attr);
+    e.AddTuple(t0);
+    e.AddTuple(t1);
+    e.AddConstraint(ConstraintLiteral::VarConst({1, second_attr}, op,
+                                                Value::Num(bound)));
+    w.exemplar = e;
+    return w;
+  };
+  const WhyQuestion base = make(840, ram, CmpOp::kGe, 4);
+  const uint64_t fp = ChaseReport::QuestionFingerprint(base);
+  EXPECT_EQ(fp, ChaseReport::QuestionFingerprint(make(840, ram, CmpOp::kGe, 4)));
+  const WhyQuestion variants[] = {
+      make(841, ram, CmpOp::kGe, 4),    // a tuple cell's constant
+      make(840, price, CmpOp::kGe, 4),  // a tuple cell's attribute
+      make(840, ram, CmpOp::kLe, 4),    // a constraint's operator
+      make(840, ram, CmpOp::kGe, 8),    // a constraint's constant
+  };
+  for (const WhyQuestion& w : variants) {
+    ASSERT_EQ(w.exemplar.tuples().size(), base.exemplar.tuples().size());
+    ASSERT_EQ(w.exemplar.constraints().size(),
+              base.exemplar.constraints().size());
+    EXPECT_NE(ChaseReport::QuestionFingerprint(w), fp)
+        << w.exemplar.ToString(schema);
+  }
+}
+
 class ReportFixture : public ::testing::Test {
  protected:
   ReportFixture() {
