@@ -1,12 +1,12 @@
-// cold_start: time-to-serving-state from persisted artifacts — the store v1
-// heap path (snapshot decode + index deserialization) against the store v2
-// mmap bundle attach (DESIGN.md "Persistence"). Both sides start from files
-// the arrange phase wrote, so the measurement isolates restore cost: v1 pays
-// interning, Finalize sorts, and per-element decoding; v2 pays a checksum
-// scan and pointer fixup over the mapped columns.
+// cold_start: time-to-serving-state for a graph already in memory — the
+// heap build of its indexes (active domains, diameter, PLL distance index)
+// against attaching the store's mmap bundle (DESIGN.md "Persistence"). The
+// arrange phase writes the bundle once, so the measurement isolates what a
+// serving process pays at start: a run without a store builds, a run with
+// one pays a checksum scan and pointer fixup over the mapped columns.
 //
-// The gated invariant is the tentpole promise: the zero-copy attach is at
-// least an order of magnitude faster than the heap restore at full
+// The gated invariant is the bundle's promise: the zero-copy attach is at
+// least an order of magnitude faster than the heap build at full
 // verification, and answers computed on the mapped state are byte-identical
 // to the heap reference — including under multi-threaded evaluation.
 
@@ -48,8 +48,7 @@ double MinSeconds(size_t reps, const std::function<void()>& body) {
 
 int main(int argc, char** argv) {
   BenchEnv env(argc, argv);
-  Header("cold_start",
-         "store v1 heap deserialization vs store v2 mmap bundle attach");
+  Header("cold_start", "heap index build vs mmap bundle attach");
 
   // The largest dataset preset (ImdbLike ~17k nodes at scale 1).
   Graph g = GenerateGraph(ImdbLike(env.scale));
@@ -62,37 +61,27 @@ int main(int argc, char** argv) {
   if (own_dir) fs::remove_all(dir);
 
   store::ArtifactStore store(dir, fp, &BenchObs());
-  const std::string snapshot = dir + "/graph.wqes";
 
-  // Arrange (untimed): one heap build, then persist both generations — the
-  // v1 artifact files GraphIndexes wrote back on its misses, the whole-graph
-  // snapshot, and the v2 bundle.
-  GraphIndexes built(g, env.threads, &store);
-  bool ok = store::ArtifactStore::SaveGraphSnapshot(snapshot, g, fp).ok() &&
-            store
+  // Arrange (untimed): one heap build, persisted as the bundle.
+  GraphIndexes built(g, env.threads);
+  bool ok = store
                 .SaveBundle(g, built.adom, built.diameter, built.dist,
                             DistanceIndex::Options())
                 .ok();
   if (!ok) {
-    Shape(false, "failed to persist cold-start artifacts");
+    Shape(false, "failed to persist the cold-start bundle");
     return env.Finish();
   }
 
   constexpr size_t kReps = 5;
 
-  // v1 heap cold start: decode the snapshot into a fresh graph, then restore
-  // the indexes through the store (all hits — nothing is rebuilt).
+  // Heap cold start: build the indexes from the in-memory graph, serially.
   const double heap_s = MinSeconds(kReps, [&] {
-    Graph g2;
-    if (!store::ArtifactStore::LoadGraphSnapshot(snapshot, fp, &g2).ok()) {
-      ok = false;
-      return;
-    }
-    GraphIndexes idx(g2, /*num_threads=*/1, &store);
+    GraphIndexes idx(g, /*num_threads=*/1);
     if (idx.diameter != built.diameter) ok = false;
   });
 
-  // v2 mmap cold start at full verification (the default open), and at the
+  // Bundle cold start at full verification (the default open), and at the
   // header-only trust level for the trusted-local comparison point.
   const store::BundleOpenOptions full_verify;
   store::BundleOpenOptions header_only;
@@ -108,11 +97,11 @@ int main(int argc, char** argv) {
   const double mmap_s = time_open(full_verify);
   const double mmap_hdr_s = time_open(header_only);
 
-  std::printf("cold_start,heap,v1_snapshot,nodes=%zu,seconds=%.5f\n",
+  std::printf("cold_start,heap,build,nodes=%zu,seconds=%.5f\n",
               static_cast<size_t>(g.num_nodes()), heap_s);
-  std::printf("cold_start,mmap,v2_full_verify,seconds=%.5f,speedup=%.1fx\n",
+  std::printf("cold_start,mmap,full_verify,seconds=%.5f,speedup=%.1fx\n",
               mmap_s, mmap_s > 0 ? heap_s / mmap_s : 0.0);
-  std::printf("cold_start,mmap,v2_header_only,seconds=%.5f,speedup=%.1fx\n",
+  std::printf("cold_start,mmap,header_only,seconds=%.5f,speedup=%.1fx\n",
               mmap_hdr_s, mmap_hdr_s > 0 ? heap_s / mmap_hdr_s : 0.0);
 
   // Parity: the same workload answered on the heap state and on the mapped
@@ -150,7 +139,7 @@ int main(int argc, char** argv) {
   const double speedup = mmap_s > 0 ? heap_s / mmap_s : 0.0;
   char verdict[160];
   std::snprintf(verdict, sizeof(verdict),
-                "mmap attach %.1fx faster than heap restore (>= 10x gated) "
+                "mmap attach %.1fx faster than heap build (>= 10x gated) "
                 "with byte-identical answers at 1 and 4 threads",
                 speedup);
   Shape(ok && identical && speedup >= 10.0, verdict);

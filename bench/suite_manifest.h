@@ -283,7 +283,7 @@ inline std::vector<QuickBench> BuildQuickSuite(const GateBenchConfig& cfg) {
     st->store = std::make_unique<store::ArtifactStore>(
         st->dir, store::Serde::GraphFingerprint(*st->graph), b.obs.get());
     {
-      GraphIndexes heap(*st->graph, cfg.threads, st->store.get());
+      GraphIndexes heap(*st->graph, cfg.threads);
       st->store->SaveBundle(*st->graph, heap.adom, heap.diameter, heap.dist,
                             DistanceIndex::Options());
       st->reference.reserve(st->cases.size());

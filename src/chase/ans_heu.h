@@ -21,10 +21,6 @@ inline ChaseResult AnsHeu(const Graph& g, const WhyQuestion& w,
   return Solve(g, w, opts, Algorithm::kAnsHeu);
 }
 
-inline ChaseResult AnsHeuWithContext(ChaseContext& ctx) {
-  return SolveWithContext(ctx, Algorithm::kAnsHeu);
-}
-
 }  // namespace wqe
 
 #endif  // WQE_CHASE_ANS_HEU_H_

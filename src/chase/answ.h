@@ -20,12 +20,6 @@ inline ChaseResult AnsW(const Graph& g, const WhyQuestion& w,
   return Solve(g, w, opts, Algorithm::kAnsW);
 }
 
-/// Same, reusing a prepared context (exploratory-search sessions share the
-/// view cache and indexes across questions).
-inline ChaseResult AnsWWithContext(ChaseContext& ctx) {
-  return SolveWithContext(ctx, Algorithm::kAnsW);
-}
-
 }  // namespace wqe
 
 #endif  // WQE_CHASE_ANSW_H_

@@ -24,10 +24,6 @@ inline ChaseResult AnsWE(const Graph& g, const WhyQuestion& w,
   return Solve(g, w, opts, Algorithm::kAnsWE);
 }
 
-inline ChaseResult AnsWEWithContext(ChaseContext& ctx) {
-  return SolveWithContext(ctx, Algorithm::kAnsWE);
-}
-
 }  // namespace wqe
 
 #endif  // WQE_CHASE_ANSWE_H_

@@ -22,10 +22,6 @@ inline ChaseResult ApxWhyM(const Graph& g, const WhyQuestion& w,
   return Solve(g, w, opts, Algorithm::kApxWhyM);
 }
 
-inline ChaseResult ApxWhyMWithContext(ChaseContext& ctx) {
-  return SolveWithContext(ctx, Algorithm::kApxWhyM);
-}
-
 }  // namespace wqe
 
 #endif  // WQE_CHASE_APX_WHYM_H_

@@ -396,7 +396,7 @@ class ListFrontier : public FrontierPolicy {
 /// The instrumented dispatcher: tracer installation, the solve.<algo> span,
 /// deadline arming of the star matcher, per-run phase attribution, metric
 /// mirroring, and query-log provenance — implemented once here, above every
-/// solver bundle. SolveWithContext is a validation shim over this.
+/// solver bundle. ExecuteWithContext is a validation shim over this.
 ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo);
 
 }  // namespace wqe::engine

@@ -18,46 +18,22 @@ DistanceIndex::Options DistOptions(size_t num_threads) {
   return o;
 }
 
-// Load-or-build helpers for the snapshot-backed index construction: try the
-// artifact store first; on miss / corruption / version skew build cold and
-// write the snapshot back (best-effort — a read-only cache dir just stays
-// cold). `store` may be null (the fully in-memory path).
+// Index builders, each under its own span (a no-op unless the calling
+// thread has a tracer installed — benches and sessions do).
 
-ActiveDomains LoadOrBuildAdom(const Graph& g, store::ArtifactStore* store) {
-  if (store != nullptr) {
-    std::unique_ptr<ActiveDomains> restored;
-    if (store->LoadAdom(g, &restored).ok()) return std::move(*restored);
-  }
+ActiveDomains BuildAdom(const Graph& g) {
   WQE_SPAN("index.adom");
-  ActiveDomains a(g);
-  if (store != nullptr) store->SaveAdom(a);
-  return a;
+  return ActiveDomains(g);
 }
 
-uint32_t LoadOrBuildDiameter(const Graph& g, store::ArtifactStore* store) {
-  if (store != nullptr) {
-    uint32_t restored = 0;
-    if (store->LoadDiameter(&restored).ok()) return restored;
-  }
+uint32_t BuildDiameter(const Graph& g) {
   WQE_SPAN("index.diameter");
-  const uint32_t d = EstimateDiameter(g);
-  if (store != nullptr) store->SaveDiameter(d);
-  return d;
+  return EstimateDiameter(g);
 }
 
-DistanceIndex LoadOrBuildDist(const Graph& g, size_t num_threads,
-                              store::ArtifactStore* store) {
-  const DistanceIndex::Options opts = DistOptions(num_threads);
-  if (store != nullptr) {
-    std::unique_ptr<DistanceIndex> restored;
-    if (store->LoadDistanceIndex(g, opts, &restored).ok()) {
-      return std::move(*restored);
-    }
-  }
+DistanceIndex BuildDist(const Graph& g, size_t num_threads) {
   WQE_SPAN("index.dist_pll");
-  DistanceIndex d(g, opts);
-  if (store != nullptr) store->SaveDistanceIndex(d, opts);
-  return d;
+  return DistanceIndex(g, DistOptions(num_threads));
 }
 
 uint64_t NowNs() {
@@ -85,16 +61,10 @@ const char* TerminationReasonName(TerminationReason reason) {
   return "unknown";
 }
 
-// Each member build runs under its own span (a no-op unless the calling
-// thread has a tracer installed — benches and sessions do).
 GraphIndexes::GraphIndexes(const Graph& g, size_t num_threads)
-    : GraphIndexes(g, num_threads, nullptr) {}
-
-GraphIndexes::GraphIndexes(const Graph& g, size_t num_threads,
-                           store::ArtifactStore* store)
-    : adom(LoadOrBuildAdom(g, store)),
-      diameter(LoadOrBuildDiameter(g, store)),
-      dist(LoadOrBuildDist(g, num_threads, store)) {}
+    : adom(BuildAdom(g)),
+      diameter(BuildDiameter(g)),
+      dist(BuildDist(g, num_threads)) {}
 
 MappedServingState::MappedServingState(std::unique_ptr<store::MappedBundle> b)
     : bundle(std::move(b)),
@@ -117,10 +87,10 @@ Status OpenOrBuildServingState(const Graph& g, store::ArtifactStore& store,
                                std::unique_ptr<MappedServingState>* out) {
   const DistanceIndex::Options dopts = DistOptions(num_threads);
   if (OpenServingState(store, dopts, {}, out).ok()) return Status::OK();
-  // Miss or rejection: build (or restore from the v1 artifacts), persist the
-  // bundle, and serve from the mapping so this process already exercises the
-  // exact bytes every later process will.
-  GraphIndexes built(g, num_threads, &store);
+  // Miss or rejection: build, persist the bundle, and serve from the mapping
+  // so this process already exercises the exact bytes every later process
+  // will.
+  GraphIndexes built(g, num_threads);
   if (Status s =
           store.SaveBundle(g, built.adom, built.diameter, built.dist, dopts);
       !s.ok()) {
@@ -160,8 +130,7 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
                              opts.cache_dir,
                              store::Serde::GraphFingerprint(g), obs_)),
       owned_indexes_(indexes == nullptr
-                         ? std::make_unique<GraphIndexes>(g, opts.num_threads,
-                                                          owned_store_.get())
+                         ? std::make_unique<GraphIndexes>(g, opts.num_threads)
                          : nullptr),
       indexes_(indexes == nullptr ? owned_indexes_.get() : indexes),
       closeness_(g, indexes_->adom, opts.closeness),

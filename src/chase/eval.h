@@ -92,12 +92,7 @@ struct GraphIndexes {
   /// to the serial build.
   explicit GraphIndexes(const Graph& g, size_t num_threads = 1);
 
-  /// Builds each index or, when `store` is non-null, loads it from the
-  /// persistent artifact store and falls back to building (and writing the
-  /// snapshot back) on miss / corruption / version skew.
-  GraphIndexes(const Graph& g, size_t num_threads, store::ArtifactStore* store);
-
-  /// Assembles from already-restored components (snapshot load path).
+  /// Assembles from already-restored components (the bundle open path).
   GraphIndexes(ActiveDomains restored_adom, uint32_t restored_diameter,
                DistanceIndex restored_dist)
       : adom(std::move(restored_adom)),
@@ -135,10 +130,9 @@ Status OpenServingState(store::ArtifactStore& store,
                         const store::BundleOpenOptions& open_opts,
                         std::unique_ptr<MappedServingState>* out);
 
-/// The tools' --mmap entry point: open the store's bundle zero-copy; on miss
-/// or rejection build the indexes heap-side (reusing the store's individual
-/// v1 artifacts where present), write the bundle, and re-open it. After the
-/// first run the heap build is skipped entirely.
+/// The tools' --cache-dir entry point: open the store's bundle zero-copy; on
+/// miss or rejection build the indexes heap-side, write the bundle, and
+/// re-open it. After the first run the heap build is skipped entirely.
 Status OpenOrBuildServingState(const Graph& g, store::ArtifactStore& store,
                                size_t num_threads,
                                std::unique_ptr<MappedServingState>* out);
@@ -256,7 +250,7 @@ class ChaseContext {
   obs::Counter* c_memo_hits_ = nullptr;
   obs::Histogram* h_evaluate_ns_ = nullptr;
 
-  // Declared before the indexes so the store exists when they load-or-build.
+  // Warms the private star-view cache and persists it on teardown.
   std::unique_ptr<store::ArtifactStore> owned_store_;
 
   std::unique_ptr<GraphIndexes> owned_indexes_;

@@ -21,10 +21,6 @@ inline ChaseResult FMAnsW(const Graph& g, const WhyQuestion& w,
   return Solve(g, w, opts, Algorithm::kFMAnsW);
 }
 
-inline ChaseResult FMAnsWWithContext(ChaseContext& ctx) {
-  return SolveWithContext(ctx, Algorithm::kFMAnsW);
-}
-
 }  // namespace wqe
 
 #endif  // WQE_CHASE_FM_ANSW_H_

@@ -16,16 +16,9 @@ namespace {
 std::string OpKey(const Op& op) {
   std::ostringstream out;
   out << static_cast<int>(op.kind) << '|' << op.u << '|' << op.v << '|'
-      << op.lit.attr << '|' << static_cast<int>(op.lit.op) << '|';
-  auto val = [&](const Value& v) {
-    if (v.is_null()) return std::string("_");
-    if (v.is_num()) return std::to_string(v.num());
-    return "s" + std::to_string(v.str());
-  };
-  out << val(op.lit.constant) << '|' << op.new_lit.attr << '|'
-      << static_cast<int>(op.new_lit.op) << '|' << val(op.new_lit.constant)
-      << '|' << op.bound << '|' << op.new_bound << '|' << op.new_node_label
-      << '|' << op.creates_node;
+      << LiteralKey(op.lit) << '|' << LiteralKey(op.new_lit) << '|'
+      << op.bound << '|' << op.new_bound << '|' << op.new_node_label << '|'
+      << op.creates_node;
   return out.str();
 }
 

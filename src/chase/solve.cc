@@ -109,8 +109,4 @@ ChaseResult Solve(const Graph& g, const WhyQuestion& w, const ChaseOptions& opts
   return Execute(g, req).result;
 }
 
-ChaseResult SolveWithContext(ChaseContext& ctx, Algorithm algo) {
-  return ExecuteWithContext(ctx, algo).result;
-}
-
 }  // namespace wqe

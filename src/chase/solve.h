@@ -101,9 +101,6 @@ Response ExecuteWithContext(ChaseContext& ctx, Algorithm algo,
 ChaseResult Solve(const Graph& g, const WhyQuestion& w, const ChaseOptions& opts,
                   Algorithm algo = Algorithm::kAnsW);
 
-/// Convenience wrapper over ExecuteWithContext, result-only.
-ChaseResult SolveWithContext(ChaseContext& ctx, Algorithm algo);
-
 namespace internal {
 
 // The actual solver bodies (answ.cc, answe.cc, ans_heu.cc, fm_answ.cc,

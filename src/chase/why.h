@@ -116,7 +116,7 @@ struct ChaseOptions {
   /// must outlive every context built from these options.
   obs::Observability* observability = nullptr;
 
-  /// Structured query-log sink: when set, every Solve/SolveWithContext call
+  /// Structured query-log sink: when set, every Solve/ExecuteWithContext call
   /// appends one JSONL provenance record (algorithm, fingerprints, applied
   /// op sequence, per-phase self-times, cache/store traffic, termination —
   /// see DESIGN.md "Telemetry & regression gating"). Null = no logging, no
@@ -125,11 +125,11 @@ struct ChaseOptions {
   obs::QueryLog* query_log = nullptr;
 
   /// Root directory of the persistent artifact store (DESIGN.md
-  /// "Persistence"). Non-empty = contexts that build their own graph indexes
-  /// load snapshots from `<cache_dir>/fp-<graph fingerprint>/` instead of
-  /// rebuilding (falling back to a build + write-back on miss or corruption),
-  /// and persist their star-view cache on destruction. Empty = fully
-  /// in-memory, exactly the pre-store behavior.
+  /// "Persistence"). Non-empty = contexts with a private star-view cache
+  /// warm it from `<cache_dir>/fp-<graph fingerprint>/` and persist it on
+  /// destruction. Graph indexes are not loaded from here: contexts build
+  /// them or borrow them (e.g. from a MappedServingState the caller opened
+  /// with OpenOrBuildServingState). Empty = fully in-memory.
   std::string cache_dir;
 
   /// Boundary validation for the unified Solve entry point: rejects option

@@ -12,10 +12,6 @@
 
 namespace wqe {
 
-namespace store {
-class Serde;
-}  // namespace store
-
 /// Exact directed shortest-path distance oracle. Implements the "fast
 /// distance index [2]" all the paper's algorithms consult: pruned landmark
 /// labeling (Akiba, Iwata, Yoshida, SIGMOD 2013) extended to directed graphs
@@ -25,7 +21,7 @@ class Serde;
 ///
 /// The labeling is stored flat (per-node offsets + one cell column per
 /// direction) behind a read-only View, so it can either live on the heap
-/// (built or decoded) or point straight into an mmap'd store-v2 bundle.
+/// (built) or point straight into an mmap'd store-v2 bundle.
 class DistanceIndex {
  public:
   struct Options {
@@ -88,13 +84,12 @@ class DistanceIndex {
   }
 
  private:
-  /// Empty shell the snapshot decoder fills with a restored labeling.
+  /// Empty shell Attach fills with a mapped labeling.
   struct RestoreTag {};
   DistanceIndex(const Graph& g, RestoreTag) : g_(g), bfs_(g) {}
-  friend class store::Serde;
 
   void Build(size_t num_threads);
-  /// Points view_ at the heap vectors (build/decode paths).
+  /// Points view_ at the heap vectors (build path).
   void InstallHeapView();
   uint32_t QueryLabels(NodeId u, NodeId v) const;
 
@@ -102,7 +97,7 @@ class DistanceIndex {
   bool indexed_ = false;
   BoundedBfs bfs_;
 
-  // Heap backing (built or decoded); empty when attached to a bundle.
+  // Heap backing (built); empty when attached to a bundle.
   // order_: rank -> node in degree-descending order. out cells of v: hubs
   // reachable from v (v → hub); in cells of v: hubs that reach v (hub → v).
   std::vector<NodeId> order_;

@@ -172,7 +172,7 @@ class Graph {
   uint64_t attached_fingerprint_ = 0;
 
   friend class GraphIo;
-  friend class store::Serde;  // binary snapshot encode/decode
+  friend class store::Serde;  // canonical encoding (GraphFingerprint)
 };
 
 }  // namespace wqe

@@ -46,7 +46,8 @@ static_assert(std::is_trivially_copyable_v<AttrPair>,
 ///  - `label_offsets` has length num_labels+1 and indexes `label_nodes`
 ///    (nodes grouped by label, ascending NodeId within a bucket);
 ///  - `edge_from/edge_to/edge_labels` preserve insertion order (the text
-///    format and the v1 serde payload both depend on it).
+///    format and the canonical encoding behind GraphFingerprint both depend
+///    on it).
 struct GraphView {
   std::span<const LabelId> labels;
 

@@ -1,53 +1,8 @@
 #include "match/filter_plan.h"
 
 #include <algorithm>
-#include <cstring>
-#include <tuple>
 
 namespace wqe::match {
-
-namespace {
-
-/// Canonical key of one literal: "attr#op#value". The value renders as "_"
-/// for wildcards, the numeric text for numbers, and "s<symbol>" for interned
-/// strings — the exact format star signatures have always used, so plan
-/// fingerprints and (persisted) star-view cache keys stay compatible.
-std::string LiteralKey(const Literal& l) {
-  std::string key = std::to_string(l.attr) + "#" +
-                    std::to_string(static_cast<int>(l.op)) + "#";
-  if (l.constant.is_null()) {
-    key += "_";
-  } else if (l.constant.is_num()) {
-    key += std::to_string(l.constant.num());
-  } else {
-    key += "s" + std::to_string(l.constant.str());
-  }
-  return key;
-}
-
-/// Appends the raw bytes of `x` (exact-key encoding).
-template <typename T>
-void AppendBytes(std::string& out, const T& x) {
-  out.append(reinterpret_cast<const char*>(&x), sizeof(T));
-}
-
-/// One literal of FilterPlan::exact_key: attr, op, value kind, payload (the
-/// double's bits for a number, the symbol id for a string, 0 for ⊥).
-using ExactLiteral = std::tuple<AttrId, uint8_t, uint8_t, uint64_t>;
-
-ExactLiteral ExactLiteralOf(const Literal& l) {
-  uint64_t payload = 0;
-  if (l.constant.is_num()) {
-    const double num = l.constant.num() == 0 ? 0.0 : l.constant.num();
-    std::memcpy(&payload, &num, sizeof(num));
-  } else if (l.constant.is_str()) {
-    payload = l.constant.str();
-  }
-  return {l.attr, static_cast<uint8_t>(l.op),
-          static_cast<uint8_t>(l.constant.kind()), payload};
-}
-
-}  // namespace
 
 void FilterPlan::AppendNodeFingerprint(const QueryNode& node,
                                        std::string& out) {
@@ -75,17 +30,6 @@ FilterPlan FilterPlan::Compile(const QueryNode& node) {
   FilterPlan plan;
   plan.label_ = node.label;
   AppendNodeFingerprint(node, plan.fingerprint_);
-  std::vector<ExactLiteral> exact;
-  exact.reserve(node.literals.size());
-  for (const Literal& l : node.literals) exact.push_back(ExactLiteralOf(l));
-  std::sort(exact.begin(), exact.end());
-  AppendBytes(plan.exact_key_, node.label);
-  for (const auto& [attr, op, kind, payload] : exact) {
-    AppendBytes(plan.exact_key_, attr);
-    AppendBytes(plan.exact_key_, op);
-    AppendBytes(plan.exact_key_, kind);
-    AppendBytes(plan.exact_key_, payload);
-  }
 
   // Group the literals by attribute: stable sort keeps same-attribute
   // predicates in declaration order (irrelevant to the conjunction's result,

@@ -36,23 +36,17 @@ class FilterPlan {
   static FilterPlan Compile(const QueryNode& node);
 
   /// Canonical fingerprint of a node's filter: "L<label>(<lit>,<lit>,...)"
-  /// with literal keys "attr#op#value" sorted lexicographically. This is the
-  /// single node-signature notion in the system: star signatures (and hence
-  /// ViewCache keys) are concatenations of these plan fingerprints, so a
-  /// cache hit is exactly "same compiled filter".
+  /// with the exact literal keys of LiteralKey sorted lexicographically.
+  /// This is the single node-signature notion in the system: star
+  /// signatures (and hence ViewCache keys) are concatenations of these plan
+  /// fingerprints, and the matcher's filtered-ball memo keys on them, so a
+  /// hit is exactly "same compiled filter".
   static std::string NodeFingerprint(const QueryNode& node);
   static void AppendNodeFingerprint(const QueryNode& node, std::string& out);
 
   LabelId label() const { return label_; }
   bool has_predicates() const { return !groups_.empty(); }
   const std::string& fingerprint() const { return fingerprint_; }
-
-  /// Byte-exact identity of the compiled filter: the label plus every
-  /// literal's (attr, op, value kind, payload bits), literals sorted. fingerprint() renders numbers through std::to_string (six
-  /// decimals), so it can merge filters that differ in a far digit; equal
-  /// exact keys always mean the same conjunction. Keys the matcher's
-  /// filtered-ball memo.
-  const std::string& exact_key() const { return exact_key_; }
 
   /// Full per-node probe: label stage + predicate stage. Equivalent to
   /// IsCandidate on the same node, evaluated against the columnar view.
@@ -87,7 +81,6 @@ class FilterPlan {
   std::vector<Group> groups_;       // ascending attr
   std::vector<CompiledPred> preds_; // flat, grouped by attr
   std::string fingerprint_;
-  std::string exact_key_;
 };
 
 /// The compiled filters of every node of one pattern query, compiled once

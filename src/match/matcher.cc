@@ -76,7 +76,7 @@ std::shared_ptr<const Matcher::MatchPlan> Matcher::BuildPlan(
       }
       if (step.anchor == kNoQNode) continue;
       BallKey& key = step.ball;
-      key.filter = plan->filters.at(u).exact_key();
+      key.filter = plan->filters.at(u).fingerprint();
       key.bound = step.anchor_bound;
       key.outgoing = step.anchor_outgoing;
       key.hash = std::hash<std::string>{}(key.filter) * 31 +

@@ -102,10 +102,10 @@ class Matcher {
   bool IsMatch(const PatternQuery& q, NodeId v);
 
   /// Identity of one step's candidate ball, up to the anchor's match: the
-  /// step node's exact filter key, the anchor edge's bound and direction.
+  /// step node's filter fingerprint, the anchor edge's bound and direction.
   /// Hashed once when the plan is built.
   struct BallKey {
-    std::string filter;  // FilterPlan::exact_key of the step node
+    std::string filter;  // FilterPlan::fingerprint of the step node
     uint32_t bound = 0;
     bool outgoing = true;
     size_t hash = 0;

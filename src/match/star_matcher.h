@@ -82,7 +82,7 @@ class StarMatcher {
   /// candidate verification check it every kDeadlineCheckStride items and
   /// throw DeadlineExceeded, so one long pass cannot blow far past
   /// time_limit_seconds. Null disarms (the default). `d` must outlive the
-  /// armed period — SolveWithContext arms around one solver run and disarms
+  /// armed period — ExecuteWithContext arms around one solver run and disarms
   /// on exit, keeping context construction (the root evaluation) unbounded.
   void set_deadline(const Deadline* d);
 

@@ -44,7 +44,7 @@ Histogram::Snapshot Histogram::Snap() const {
   return snap;
 }
 
-uint64_t Histogram::Snapshot::Quantile(double q, QuantileMode mode) const {
+uint64_t Histogram::Snapshot::Quantile(double q) const {
   if (count == 0) return 0;
   if (q < 0) q = 0;
   if (q > 1) q = 1;
@@ -57,7 +57,6 @@ uint64_t Histogram::Snapshot::Quantile(double q, QuantileMode mode) const {
       // Bucket b covers [2^b, 2^(b+1)); its stored upper bound is
       // 2^(b+1) - 1 (saturating at the top bucket).
       const uint64_t hi = b >= 63 ? UINT64_MAX : (uint64_t{1} << (b + 1)) - 1;
-      if (mode == QuantileMode::kBucketUpperBound) return hi;
       // Each of the bucket's in_bucket samples owns a 1/in_bucket slice;
       // answer with the midpoint of the rank's slice. Bucket 0 also holds
       // the value 0, so its interpolation floor is 0 rather than 1.

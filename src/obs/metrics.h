@@ -60,26 +60,11 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// How Histogram::Snapshot::Quantile maps a rank inside a power-of-two
-/// bucket to a value.
-enum class QuantileMode {
-  /// Linear interpolation across the bucket holding the rank: each of the
-  /// bucket's n samples owns a 1/n slice and the rank answers with its
-  /// slice's midpoint, so a well-populated bucket converges toward the true
-  /// percentile and even a degenerate one (all mass at an edge) is off by at
-  /// most ~50% — half the error of the raw upper bound.
-  kInterpolate,
-  /// Legacy behavior: the upper bound of the bucket (2^(b+1) - 1), always an
-  /// over-estimate, up to 2x the true value. Kept for callers that pinned
-  /// thresholds against the old conservative answers.
-  kBucketUpperBound,
-};
-
 /// Log-scale (power-of-two bucket) histogram for latency-like quantities.
 /// `Observe(v)` drops `v` into bucket ⌊log2 v⌋ of the calling thread's shard;
 /// snapshots aggregate shards and answer approximate quantiles (see
-/// QuantileMode for the error bound) — the right trade for per-phase latency
-/// breakdowns. Values are plain uint64 so callers pick the unit (we use
+/// Snapshot::Quantile for the error bound) — the right trade for per-phase
+/// latency breakdowns. Values are plain uint64 so callers pick the unit (we use
 /// nanoseconds).
 class Histogram {
  public:
@@ -95,9 +80,12 @@ class Histogram {
     double Mean() const {
       return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
     }
-    /// Approximate q-quantile (q in [0, 1]); see QuantileMode.
-    uint64_t Quantile(double q,
-                      QuantileMode mode = QuantileMode::kInterpolate) const;
+    /// Approximate q-quantile (q in [0, 1]) by linear interpolation across
+    /// the bucket holding the rank: each of the bucket's n samples owns a
+    /// 1/n slice and the rank answers with its slice's midpoint, so a
+    /// well-populated bucket converges toward the true percentile and even a
+    /// degenerate one (all mass at an edge) is off by at most ~50%.
+    uint64_t Quantile(double q) const;
 
     /// Element-wise accumulation — merges another snapshot's mass into this
     /// one (sliding-window reads, cross-registry rollups).

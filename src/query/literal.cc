@@ -1,5 +1,7 @@
 #include "query/literal.h"
 
+#include <charconv>
+
 namespace wqe {
 
 const char* CmpOpName(CmpOp op) {
@@ -51,6 +53,24 @@ std::string Literal::ToString(const Schema& schema) const {
   s += ' ';
   s += schema.ValueToString(constant);
   return s;
+}
+
+std::string ValueKey(const Value& v) {
+  if (v.is_null()) return "_";
+  if (v.is_str()) {
+    std::string key = "s";
+    key += std::to_string(v.str());
+    return key;
+  }
+  const double num = v.num() == 0 ? 0.0 : v.num();
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), num);
+  return std::string(buf, r.ptr);
+}
+
+std::string LiteralKey(const Literal& l) {
+  return std::to_string(l.attr) + "#" +
+         std::to_string(static_cast<int>(l.op)) + "#" + ValueKey(l.constant);
 }
 
 }  // namespace wqe

@@ -50,6 +50,18 @@ struct Literal {
   std::string ToString(const Schema& schema) const;
 };
 
+/// Exact text key of a constant: "_" for the wildcard, "s<symbol>" for an
+/// interned string, and the shortest decimal that round-trips the double
+/// (std::to_chars, with -0 folded to 0) for a number — so two distinct
+/// constants never share a key, however close they are.
+std::string ValueKey(const Value& v);
+
+/// Exact text key of a literal, "<attr>#<op>#<ValueKey>". The one renderer
+/// behind query fingerprints, filter-plan fingerprints and star-view
+/// signatures; keys stay printable because query logs and replay compare
+/// fingerprints.
+std::string LiteralKey(const Literal& l);
+
 }  // namespace wqe
 
 #endif  // WQE_QUERY_LITERAL_H_

@@ -170,18 +170,7 @@ std::string PatternQuery::Fingerprint() const {
     if (!mask[u]) continue;
     out << 'n' << u << ':' << nodes_[u].label << '[';
     std::vector<std::string> lits;
-    for (const Literal& l : nodes_[u].literals) {
-      std::string key = std::to_string(l.attr) + "," +
-                        std::to_string(static_cast<int>(l.op)) + ",";
-      if (l.constant.is_null()) {
-        key += "_";
-      } else if (l.constant.is_num()) {
-        key += std::to_string(l.constant.num());
-      } else {
-        key += "s" + std::to_string(l.constant.str());
-      }
-      lits.push_back(std::move(key));
-    }
+    for (const Literal& l : nodes_[u].literals) lits.push_back(LiteralKey(l));
     std::sort(lits.begin(), lits.end());
     for (const auto& l : lits) out << l << '|';
     out << ']';

@@ -47,8 +47,7 @@ Server::Server(const Graph& g, ServerOptions opts)
                        opts_.cache_dir, store::Serde::GraphFingerprint(g),
                        obs_)),
       owned_indexes_(opts_.prebuilt_indexes == nullptr
-                         ? std::make_unique<GraphIndexes>(g, /*num_threads=*/0,
-                                                          store_.get())
+                         ? std::make_unique<GraphIndexes>(g, /*num_threads=*/0)
                          : nullptr),
       indexes_(opts_.prebuilt_indexes == nullptr ? owned_indexes_.get()
                                                  : opts_.prebuilt_indexes),

@@ -44,10 +44,10 @@ struct ServerOptions {
   /// server-imposed limit.
   double default_time_limit_seconds = 0;
 
-  /// Warm-start directory for the artifact store: the PLL distance index and
-  /// persisted star views load from here (building and writing back on
-  /// miss), and the shared view cache is persisted back on shutdown. Empty =
-  /// fully in-memory.
+  /// Warm-start directory for the artifact store: persisted star views warm
+  /// the shared view cache from here, and the cache is persisted back on
+  /// shutdown. Graph indexes come from `prebuilt_indexes` or are built.
+  /// Empty = fully in-memory.
   std::string cache_dir;
 
   /// Server-wide observation scope: admission counters, queue/latency
@@ -67,7 +67,7 @@ struct ServerOptions {
   /// Borrowed prebuilt graph indexes — e.g. attached zero-copy from a store
   /// v2 mmap bundle (MappedServingState). Must be built for the same graph
   /// and outlive the server. When set, construction skips the expensive
-  /// load-or-build entirely (cache_dir still warms/persists star views).
+  /// index build entirely (cache_dir still warms/persists star views).
   GraphIndexes* prebuilt_indexes = nullptr;
 
   /// HTTP telemetry exposition (/statusz, /metricsz, /requestz) on its own

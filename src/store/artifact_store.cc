@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/adom.h"
 #include "graph/graph.h"
 #include "match/view_cache.h"
 #include "obs/observability.h"
@@ -168,79 +167,6 @@ Status ArtifactStore::Reject(ArtifactKind kind, const Status& why) {
   WarnRebuild(kind, why);
   // A rejected artifact is semantically a miss: the caller rebuilds.
   return why.ok() ? Status::InvalidArgument("artifact rejected") : why;
-}
-
-// -------- Active domains --------
-
-Status ArtifactStore::SaveAdom(const ActiveDomains& a) {
-  return Save(ArtifactKind::kAdom, kBuilderRev, Serde::EncodeAdom(a));
-}
-
-Status ArtifactStore::LoadAdom(const Graph& g,
-                               std::unique_ptr<ActiveDomains>* out) {
-  const uint64_t t0 = NowNs();
-  std::string bytes;
-  std::string_view payload;
-  if (Status s = Load(ArtifactKind::kAdom, kBuilderRev, &bytes, &payload);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = Serde::DecodeAdom(payload, g, out); !s.ok()) {
-    return Reject(ArtifactKind::kAdom, s);
-  }
-  if (c_hits_ != nullptr) c_hits_->Inc();
-  if (h_load_ns_ != nullptr) h_load_ns_->Observe(NowNs() - t0);
-  return Status::OK();
-}
-
-// -------- Diameter --------
-
-Status ArtifactStore::SaveDiameter(uint32_t diameter) {
-  return Save(ArtifactKind::kDiameter, kBuilderRev,
-              Serde::EncodeDiameter(diameter));
-}
-
-Status ArtifactStore::LoadDiameter(uint32_t* out) {
-  const uint64_t t0 = NowNs();
-  std::string bytes;
-  std::string_view payload;
-  if (Status s = Load(ArtifactKind::kDiameter, kBuilderRev, &bytes, &payload);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = Serde::DecodeDiameter(payload, out); !s.ok()) {
-    return Reject(ArtifactKind::kDiameter, s);
-  }
-  if (c_hits_ != nullptr) c_hits_->Inc();
-  if (h_load_ns_ != nullptr) h_load_ns_->Observe(NowNs() - t0);
-  return Status::OK();
-}
-
-// -------- PLL distance index --------
-
-Status ArtifactStore::SaveDistanceIndex(const DistanceIndex& d,
-                                        const DistanceIndex::Options& opts) {
-  return Save(ArtifactKind::kDistanceIndex, DistanceIndexParams(opts),
-              Serde::EncodeDistanceIndex(d));
-}
-
-Status ArtifactStore::LoadDistanceIndex(const Graph& g,
-                                        const DistanceIndex::Options& opts,
-                                        std::unique_ptr<DistanceIndex>* out) {
-  const uint64_t t0 = NowNs();
-  std::string bytes;
-  std::string_view payload;
-  if (Status s = Load(ArtifactKind::kDistanceIndex, DistanceIndexParams(opts),
-                      &bytes, &payload);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = Serde::DecodeDistanceIndex(payload, g, out); !s.ok()) {
-    return Reject(ArtifactKind::kDistanceIndex, s);
-  }
-  if (c_hits_ != nullptr) c_hits_->Inc();
-  if (h_load_ns_ != nullptr) h_load_ns_->Observe(NowNs() - t0);
-  return Status::OK();
 }
 
 // -------- Store v2 mmap bundle --------
@@ -412,28 +338,6 @@ Status ArtifactStore::WarmStarViews(const Graph& g, ViewCache* cache) {
   if (c_hits_ != nullptr) c_hits_->Inc();
   if (h_load_ns_ != nullptr) h_load_ns_->Observe(NowNs() - t0);
   return Status::OK();
-}
-
-// -------- Whole-graph snapshots --------
-
-Status ArtifactStore::SaveGraphSnapshot(const std::string& path, const Graph& g,
-                                        uint64_t key) {
-  return WriteFileAtomic(
-      path, SealFile(ArtifactKind::kGraph, key, kBuilderRev,
-                     Serde::EncodeGraph(g)));
-}
-
-Status ArtifactStore::LoadGraphSnapshot(const std::string& path, uint64_t key,
-                                        Graph* out) {
-  std::string bytes;
-  if (Status s = ReadFileBytes(path, &bytes); !s.ok()) return s;
-  std::string_view payload;
-  if (Status s = OpenFile(bytes, ArtifactKind::kGraph, key, kBuilderRev,
-                          &payload);
-      !s.ok()) {
-    return s;
-  }
-  return Serde::DecodeGraph(payload, out);
 }
 
 }  // namespace wqe::store

@@ -34,18 +34,20 @@ Status ReadFileBytes(const std::string& path, std::string* out);
 /// half-written artifact under the final name.
 Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
-/// Parameter hash for distance-index artifacts: an index built with different
-/// PLL settings is a different artifact. num_threads is deliberately absent —
-/// the parallel build is byte-identical to the serial one.
+/// Parameter hash for the bundle's distance index: an index built with
+/// different PLL settings is a different artifact. num_threads is
+/// deliberately absent — the parallel build is byte-identical to the serial
+/// one.
 uint64_t DistanceIndexParams(const DistanceIndex::Options& opts);
 
-/// Persistent snapshot store for one graph's derived artifacts: active
-/// domains, diameter, PLL distance index, and materialized star views, laid
-/// out as `<dir>/fp-<fingerprint>/<kind>.wqes`. Every file carries the
-/// container header of format.h, so a mutated graph, corrupted file, or
-/// format-version bump is detected on load and reported as a non-OK Status —
-/// callers rebuild and overwrite. All operations are best-effort: IO failure
-/// never aborts a computation that could run cold.
+/// Persistent store for one graph's serving state: the mmap bundle (graph
+/// columns, active domains, diameter, PLL distance index) and materialized
+/// star views, laid out as `<dir>/fp-<fingerprint>/<kind>.wqes`. The bundle
+/// carries its own header (mmap_layout.h), the star views the container
+/// header of format.h, so a mutated graph, corrupted file, or format-version
+/// bump is detected on load and reported as a non-OK Status — callers
+/// rebuild and overwrite. All operations are best-effort: IO failure never
+/// aborts a computation that could run cold.
 class ArtifactStore {
  public:
   /// `graph_fingerprint` keys every artifact (Serde::GraphFingerprint of the
@@ -59,20 +61,6 @@ class ArtifactStore {
   const std::string& dir() const { return dir_; }
   uint64_t graph_fingerprint() const { return key_; }
 
-  // -------- Active domains --------
-  Status SaveAdom(const ActiveDomains& a);
-  Status LoadAdom(const Graph& g, std::unique_ptr<ActiveDomains>* out);
-
-  // -------- Diameter --------
-  Status SaveDiameter(uint32_t diameter);
-  Status LoadDiameter(uint32_t* out);
-
-  // -------- PLL distance index --------
-  Status SaveDistanceIndex(const DistanceIndex& d,
-                           const DistanceIndex::Options& opts);
-  Status LoadDistanceIndex(const Graph& g, const DistanceIndex::Options& opts,
-                           std::unique_ptr<DistanceIndex>* out);
-
   // -------- Star views --------
   /// Persists the cache's tables (sorted by signature, so equal caches write
   /// identical files), merged with tables already on disk that the cache no
@@ -85,8 +73,8 @@ class ArtifactStore {
 
   // -------- Store v2 mmap bundle --------
   /// Writes `bundle.wqes` carrying the whole serving state (graph columns +
-  /// adom + diameter + distance index) for zero-copy reopen. Keyed like the
-  /// distance index: different PLL settings are a different bundle.
+  /// adom + diameter + distance index) for zero-copy reopen. Keyed by
+  /// DistanceIndexParams: different PLL settings are a different bundle.
   Status SaveBundle(const Graph& g, const ActiveDomains& adom,
                     uint32_t diameter, const DistanceIndex& d,
                     const DistanceIndex::Options& opts);
@@ -99,15 +87,6 @@ class ArtifactStore {
   std::string BundlePath() const {
     return ArtifactPath(ArtifactKind::kMmapBundle);
   }
-
-  // -------- Whole-graph snapshots --------
-  /// Snapshot at an explicit path, keyed by any stable hash of the source
-  /// (the CLI keys by the text file's bytes so edits invalidate the
-  /// snapshot). Static: usable before any Graph exists.
-  static Status SaveGraphSnapshot(const std::string& path, const Graph& g,
-                                  uint64_t key);
-  static Status LoadGraphSnapshot(const std::string& path, uint64_t key,
-                                  Graph* out);
 
   /// Path of `kind`'s artifact file inside this store (tests poke these
   /// files to inject corruption).

@@ -42,6 +42,10 @@ inline constexpr size_t kHeaderBytes = 4 * sizeof(uint32_t) + 4 * sizeof(uint64_
 static_assert(kHeaderBytes == 48, "on-disk header layout is pinned");
 
 enum class ArtifactKind : uint32_t {
+  // Reserved (1-4): per-artifact snapshots of the graph, active domains,
+  // diameter and distance index, no longer written or read — the bundle
+  // carries all four. The numbers stay taken so an old file is recognised
+  // by name and never mistaken for another kind.
   kGraph = 1,
   kAdom = 2,
   kDiameter = 3,

@@ -24,7 +24,7 @@ namespace {
 
 // The mapped columns are reinterpret_cast straight from file bytes, which is
 // only byte-order-portable on little-endian hosts (the only byte order this
-// repo targets; the v1 Writer/Reader path makes the same call explicitly).
+// repo targets; the Writer/Reader codecs of format.h make the same call).
 static_assert(std::endian::native == std::endian::little,
               "mmap'd columns are little-endian on disk");
 
@@ -386,7 +386,9 @@ Status MappedBundle::Open(const std::string& path, uint64_t key,
   if (toc_bytes != static_cast<uint64_t>(num_sections) * kTocEntryBytes) {
     return Malformed("TOC size mismatch");
   }
-  if (kBundleHeaderBytes + toc_bytes + meta_size > bytes.size()) {
+  // Compared by subtraction: a hostile meta_size must not wrap the sum.
+  const uint64_t room = bytes.size() - kBundleHeaderBytes;
+  if (toc_bytes > room || meta_size > room - toc_bytes) {
     return Status::OutOfRange("bundle TOC/meta past end of file (truncated)");
   }
   const std::string_view toc_region = bytes.substr(kBundleHeaderBytes, toc_bytes);

@@ -102,7 +102,7 @@ struct BundleOpenOptions {
 };
 
 /// Writes the bundle for a finalized graph + its prebuilt indexes. `key` and
-/// `params` mirror the v1 container fields (caller-chosen source key and
+/// `params` mirror the format.h container fields (caller-chosen source key and
 /// builder-parameter hash); Serde::GraphFingerprint(g) is recorded alongside
 /// so attached graphs answer fingerprint queries without re-encoding.
 /// Atomic: temp file + rename.

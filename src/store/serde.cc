@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "graph/adom.h"
-#include "graph/distance_index.h"
 #include "graph/graph.h"
 #include "match/star_table.h"
 
@@ -126,77 +125,6 @@ uint64_t Serde::GraphFingerprint(const Graph& g) {
   return Fnv1a(EncodeGraph(g));
 }
 
-Status Serde::DecodeGraph(std::string_view payload, Graph* out) {
-  Reader r(payload);
-  Schema& schema = out->schema_;
-  if (Status s = DecodeSchema(r, &schema); !s.ok()) return s;
-
-  uint64_t n = 0;
-  if (Status s = r.U64(&n); !s.ok()) return s;
-  if (n > static_cast<uint64_t>(kInvalidNode)) return Corrupt("node count");
-  if (Status s = r.PodVec(&out->labels_); !s.ok()) return s;
-  if (out->labels_.size() != n) return Corrupt("node label array");
-  for (LabelId l : out->labels_) {
-    if (l >= schema.num_labels()) return Corrupt("node label id");
-  }
-  out->names_.resize(n);
-  for (auto& name : out->names_) {
-    if (Status s = r.Str(&name); !s.ok()) return s;
-  }
-  out->attrs_.resize(n);
-  for (auto& tuple : out->attrs_) {
-    uint64_t count = 0;
-    if (Status s = r.U64(&count); !s.ok()) return s;
-    // Each pair is at least attr id + kind byte.
-    if (Status s = r.CheckCount(count, 5, "attr tuple"); !s.ok()) return s;
-    tuple.resize(count);
-    for (AttrPair& pair : tuple) {
-      uint8_t kind = 0;
-      if (Status s = r.U32(&pair.attr); !s.ok()) return s;
-      if (Status s = r.U8(&kind); !s.ok()) return s;
-      if (pair.attr >= schema.num_attrs()) return Corrupt("attr id");
-      switch (static_cast<Value::Kind>(kind)) {
-        case Value::Kind::kNull:
-          pair.value = Value::Null();
-          break;
-        case Value::Kind::kNum: {
-          double num = 0;
-          if (Status s = r.F64(&num); !s.ok()) return s;
-          pair.value = Value::Num(num);
-          break;
-        }
-        case Value::Kind::kStr: {
-          uint32_t sym = 0;
-          if (Status s = r.U32(&sym); !s.ok()) return s;
-          if (sym >= schema.strings().size()) return Corrupt("string value id");
-          pair.value = Value::Str(sym);
-          break;
-        }
-        default:
-          return Corrupt("attr value kind");
-      }
-    }
-  }
-  if (Status s = r.PodVec(&out->edge_from_); !s.ok()) return s;
-  if (Status s = r.PodVec(&out->edge_to_); !s.ok()) return s;
-  if (Status s = r.PodVec(&out->edge_labels_); !s.ok()) return s;
-  if (out->edge_to_.size() != out->edge_from_.size() ||
-      out->edge_labels_.size() != out->edge_from_.size()) {
-    return Corrupt("edge arrays disagree on edge count");
-  }
-  for (size_t i = 0; i < out->edge_from_.size(); ++i) {
-    if (out->edge_from_[i] >= n || out->edge_to_[i] >= n) {
-      return Corrupt("edge endpoint");
-    }
-    if (out->edge_labels_[i] >= schema.num_edge_labels()) {
-      return Corrupt("edge label id");
-    }
-  }
-  if (!r.AtEnd()) return Corrupt("trailing bytes after graph");
-  out->Finalize();
-  return Status::OK();
-}
-
 // -------- Active domains --------
 
 std::string Serde::EncodeAdom(const ActiveDomains& a) {
@@ -229,104 +157,6 @@ Status Serde::DecodeAdom(std::string_view payload, const Graph& g,
   if (a->ranges_.size() != num_attrs) return Corrupt("active-domain ranges");
   if (!r.AtEnd()) return Corrupt("trailing bytes after active domains");
   *out = std::move(a);
-  return Status::OK();
-}
-
-// -------- Diameter --------
-
-std::string Serde::EncodeDiameter(uint32_t diameter) {
-  Writer w;
-  w.U32(diameter);
-  return w.Take();
-}
-
-Status Serde::DecodeDiameter(std::string_view payload, uint32_t* out) {
-  Reader r(payload);
-  if (Status s = r.U32(out); !s.ok()) return s;
-  if (*out == 0) return Corrupt("diameter must be positive");
-  if (!r.AtEnd()) return Corrupt("trailing bytes after diameter");
-  return Status::OK();
-}
-
-// -------- PLL distance index --------
-
-std::string Serde::EncodeDistanceIndex(const DistanceIndex& d) {
-  // Flat columnar encoding (v2): per-node offset arrays + one cell column
-  // per direction — the same shape the mmap bundle maps zero-copy.
-  const DistanceIndex::View& view = d.view();
-  Writer w;
-  w.U8(d.indexed_ ? 1 : 0);
-  w.PodVec(view.order);
-  w.PodVec(view.out_offsets);
-  w.PodVec(view.out_cells);
-  w.PodVec(view.in_offsets);
-  w.PodVec(view.in_cells);
-  return w.Take();
-}
-
-namespace {
-
-/// Validates one direction of a flat labeling: offsets are a prefix-sum over
-/// exactly the cell column, and cells within each node's slice are sorted by
-/// a hub rank below `n` (the merge-scan query depends on both).
-Status CheckLabelColumn(const std::vector<uint64_t>& offsets,
-                        const std::vector<DistanceIndex::LabelEntry>& cells,
-                        uint64_t n) {
-  if (offsets.size() != n + 1) return Corrupt("distance-index offsets");
-  if (offsets.front() != 0 || offsets.back() != cells.size()) {
-    return Corrupt("distance-index offset bounds");
-  }
-  for (size_t v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1]) return Corrupt("distance-index offsets");
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      if (cells[i].hub_rank >= n) return Corrupt("distance-index hub rank");
-      if (i > offsets[v] && cells[i - 1].hub_rank >= cells[i].hub_rank) {
-        return Corrupt("distance-index cell order");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status Serde::DecodeDistanceIndex(std::string_view payload, const Graph& g,
-                                  std::unique_ptr<DistanceIndex>* out) {
-  Reader r(payload);
-  std::unique_ptr<DistanceIndex> d(
-      new DistanceIndex(g, DistanceIndex::RestoreTag{}));
-  uint8_t indexed = 0;
-  if (Status s = r.U8(&indexed); !s.ok()) return s;
-  if (indexed > 1) return Corrupt("distance-index flag");
-  d->indexed_ = indexed == 1;
-  if (Status s = r.PodVec(&d->order_); !s.ok()) return s;
-  if (Status s = r.PodVec(&d->label_out_offsets_); !s.ok()) return s;
-  if (Status s = r.PodVec(&d->label_out_cells_); !s.ok()) return s;
-  if (Status s = r.PodVec(&d->label_in_offsets_); !s.ok()) return s;
-  if (Status s = r.PodVec(&d->label_in_cells_); !s.ok()) return s;
-  const uint64_t n = d->order_.size();
-  if (d->indexed_) {
-    if (n != g.num_nodes()) return Corrupt("distance-index node count");
-    if (Status s = CheckLabelColumn(d->label_out_offsets_,
-                                    d->label_out_cells_, n);
-        !s.ok()) {
-      return s;
-    }
-    if (Status s = CheckLabelColumn(d->label_in_offsets_, d->label_in_cells_, n);
-        !s.ok()) {
-      return s;
-    }
-  } else if (n != 0 || !d->label_out_offsets_.empty() ||
-             !d->label_out_cells_.empty() || !d->label_in_offsets_.empty() ||
-             !d->label_in_cells_.empty()) {
-    return Corrupt("distance-index fallback must carry no labels");
-  }
-  for (NodeId v : d->order_) {
-    if (v >= n) return Corrupt("distance-index order entry");
-  }
-  if (!r.AtEnd()) return Corrupt("trailing bytes after distance index");
-  d->InstallHeapView();
-  *out = std::move(d);
   return Status::OK();
 }
 

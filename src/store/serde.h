@@ -11,15 +11,16 @@
 namespace wqe {
 
 class ActiveDomains;
-class DistanceIndex;
 class Graph;
 class Schema;
 class StarTable;
 
 namespace store {
 
-/// Payload encoders/decoders for every persisted artifact. Encoders walk the
-/// live structures (via friendship where the fields are private) and emit the
+/// Payload encoders/decoders: the canonical graph encoding (the basis of
+/// `GraphFingerprint`), the schema and active domains the mmap bundle's meta
+/// block carries, and the persisted star-view tables. Encoders walk the live
+/// structures (via friendship where the fields are private) and emit the
 /// canonical little-endian byte layout; decoders bounds-check every field,
 /// validate all ids against the graph they are being restored for, and return
 /// Status on any inconsistency so a corrupt payload degrades to a rebuild.
@@ -45,22 +46,11 @@ class Serde {
 
   // -------- Graph --------
   static std::string EncodeGraph(const Graph& g);
-  /// Restores into a default-constructed graph and finalizes it.
-  static Status DecodeGraph(std::string_view payload, Graph* out);
 
   // -------- Active domains --------
   static std::string EncodeAdom(const ActiveDomains& a);
   static Status DecodeAdom(std::string_view payload, const Graph& g,
                            std::unique_ptr<ActiveDomains>* out);
-
-  // -------- Diameter --------
-  static std::string EncodeDiameter(uint32_t diameter);
-  static Status DecodeDiameter(std::string_view payload, uint32_t* out);
-
-  // -------- PLL distance index --------
-  static std::string EncodeDistanceIndex(const DistanceIndex& d);
-  static Status DecodeDistanceIndex(std::string_view payload, const Graph& g,
-                                    std::unique_ptr<DistanceIndex>* out);
 
   // -------- Star tables --------
   static void EncodeStarTable(const StarTable& t, Writer& w);

@@ -19,7 +19,7 @@ ExperimentRunner::ExperimentRunner(const Graph& g, std::vector<BenchCase> cases,
                  ? nullptr
                  : std::make_unique<store::ArtifactStore>(
                        cache_dir, store::Serde::GraphFingerprint(g), o)),
-      indexes_(std::make_unique<GraphIndexes>(g, num_threads, store_.get())) {
+      indexes_(std::make_unique<GraphIndexes>(g, num_threads)) {
   if (store_ != nullptr) {
     shared_cache_ = std::make_unique<ViewCache>();
     // The owner wires the shared cache's counters once; contexts only wire

@@ -11,7 +11,7 @@
 namespace wqe {
 
 /// An algorithm under test: the paper's named configurations map to
-/// (Algorithm, options) pairs dispatched through SolveWithContext — see
+/// (Algorithm, options) pairs dispatched through ExecuteWithContext — see
 /// StandardAlgos(). The runner prebuilds the graph-level indexes (as §7
 /// does) and hands each case a fresh ChaseContext.
 struct AlgoSpec {
@@ -49,15 +49,14 @@ class ExperimentRunner {
   /// distance index (0 = hardware concurrency, 1 = serial); per-algorithm
   /// chase parallelism still follows each AlgoSpec's own options.
   ///
-  /// A non-empty `cache_dir` turns on the persistent artifact store: the
-  /// prebuilt indexes load from `<cache_dir>/fp-<graph-fingerprint>/` when a
-  /// usable snapshot exists (rebuilding and writing back otherwise), and one
-  /// shared star-view cache — warmed from disk here, persisted again at
+  /// A non-empty `cache_dir` turns on the persistent artifact store: one
+  /// shared star-view cache — warmed from
+  /// `<cache_dir>/fp-<graph-fingerprint>/` here, persisted again at
   /// destruction — is carried through every case, so a warm bench run skips
-  /// the index and table builds a cold run pays for. Store traffic is
-  /// recorded into `o` (store.hits / store.misses / store.rejected /
-  /// store.saves) when supplied. An empty `cache_dir` is exactly the
-  /// pre-store behavior: fresh builds, private per-question caches.
+  /// the table builds a cold run pays for. The graph indexes are always
+  /// built. Store traffic is recorded into `o` (store.hits / store.misses /
+  /// store.rejected / store.saves) when supplied. An empty `cache_dir` means
+  /// private per-question caches.
   ExperimentRunner(const Graph& g, std::vector<BenchCase> cases,
                    size_t num_threads = 1, const std::string& cache_dir = "",
                    obs::Observability* o = nullptr);
@@ -73,7 +72,7 @@ class ExperimentRunner {
  private:
   const Graph& g_;
   std::vector<BenchCase> cases_;
-  // Declared before the indexes so load-or-build can consult it.
+  // Warms and persists the shared star-view cache (cache_dir mode only).
   std::unique_ptr<store::ArtifactStore> store_;
   std::unique_ptr<GraphIndexes> indexes_;
   std::unique_ptr<ViewCache> shared_cache_;  // only in cache_dir mode

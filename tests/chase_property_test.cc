@@ -89,7 +89,7 @@ TEST_P(AnsWInvariantTest, ReportedAnswersAreValid) {
 
   for (const BenchCase& c : cases) {
     ChaseContext ctx(g, c.question, chase);
-    ChaseResult r = AnsWWithContext(ctx);
+    ChaseResult r = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
     ASSERT_TRUE(r.found());
     for (size_t i = 0; i < r.answers.size(); ++i) {
       const WhyAnswer& a = r.answers[i];
@@ -220,7 +220,7 @@ TEST_P(SatisfiesExemplarTest, VerdictEqualsComputeRepOverTheMatches) {
         node.eval = eval;
       }
     }
-    const ChaseResult r = AnsWWithContext(ctx);
+    const ChaseResult r = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
     for (const WhyAnswer& a : r.answers) {
       EXPECT_EQ(a.satisfies_exemplar, truth(a.matches))
           << spec.name << "\n" << question.exemplar.ToString(g.schema());

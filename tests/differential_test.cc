@@ -91,7 +91,7 @@ TEST_F(DifferentialFixture, NoChangeStepIsExplicit) {
 }
 
 TEST_F(DifferentialFixture, ExplainsOptimalRewriteEndToEnd) {
-  ChaseResult result = AnsWWithContext(*ctx_);
+  ChaseResult result = ExecuteWithContext(*ctx_, Algorithm::kAnsW).result;
   ASSERT_TRUE(result.found());
   DifferentialTable table = BuildDifferentialTable(*ctx_, result.best().ops);
   EXPECT_EQ(table.entries().size(), result.best().ops.size());

@@ -4,6 +4,7 @@
 
 #include "chase/next_op.h"
 #include "gen/product_demo.h"
+#include "reference_matcher.h"
 
 namespace wqe {
 namespace {
@@ -179,6 +180,62 @@ TEST_F(EvalFixture, QueueSortedByPickiness) {
   for (size_t i = 1; i < node.queue.size(); ++i) {
     EXPECT_GE(node.queue[i - 1].pickiness + 1e-12, node.queue[i].pickiness);
   }
+}
+
+// ---- Exact literal keys: constants that agree to six decimals are still
+// different rewrites for the match memo, plan memo, ball memo and star views.
+
+TEST(ExactLiteralKeyTest, CloseConstantsKeepTheirOwnAnswersInOneContext) {
+  Graph g;
+  const NodeId close = g.AddNode("Item", "close");
+  g.SetNum(close, "x", 5.0000004);
+  const NodeId high = g.AddNode("Item", "high");
+  g.SetNum(high, "x", 6);
+  const NodeId low = g.AddNode("Item", "low");
+  g.SetNum(low, "x", 4);
+  const NodeId s1 = g.AddNode("Shop", "s1");
+  const NodeId s2 = g.AddNode("Shop", "s2");
+  g.AddEdge(s1, close, kWildcardSymbol);
+  g.AddEdge(s2, high, kWildcardSymbol);
+  g.AddEdge(s2, low, kWildcardSymbol);
+  g.Finalize();
+  const AttrId x = g.schema().LookupAttr("x");
+
+  // Focus Item(x >= c) under a Shop, and focus Shop over an Item(x >= c):
+  // the literal sits on the focus in one shape and on a ball step in the
+  // other.
+  auto item_focus = [&](double c) {
+    PatternQuery q;
+    const QNodeId item = q.AddNode(g.schema().LookupLabel("Item"));
+    const QNodeId shop = q.AddNode(g.schema().LookupLabel("Shop"));
+    q.AddEdge(shop, item);
+    q.AddLiteral(item, {x, CmpOp::kGe, Value::Num(c)});
+    q.SetFocus(item);
+    return q;
+  };
+  auto shop_focus = [&](double c) {
+    PatternQuery q = item_focus(c);
+    q.SetFocus(1);
+    return q;
+  };
+  EXPECT_NE(item_focus(5.0000003).Fingerprint(),
+            item_focus(5.0000005).Fingerprint());
+
+  ChaseContext ctx(g, WhyQuestion{item_focus(5.0000003), Exemplar()},
+                   ChaseOptions());
+  ReferenceMatcher reference(g);
+  for (int round = 0; round < 2; ++round) {
+    for (const PatternQuery& q :
+         {item_focus(5.0000003), item_focus(5.0000005),
+          shop_focus(5.0000003), shop_focus(5.0000005)}) {
+      EXPECT_EQ(ctx.Evaluate(q, OpSequence())->matches, reference.Answer(q))
+          << q.Fingerprint();
+    }
+  }
+  EXPECT_EQ(reference.Answer(item_focus(5.0000005)),
+            (std::vector<NodeId>{high}));
+  EXPECT_EQ(reference.Answer(shop_focus(5.0000003)),
+            (std::vector<NodeId>{s1, s2}));
 }
 
 }  // namespace

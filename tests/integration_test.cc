@@ -92,10 +92,10 @@ TEST_F(IntegrationFixture, SharedContextSessionsReuseCache) {
   // Exploratory-search style: consecutive questions over one context.
   const BenchCase& c = cases_.front();
   ChaseContext ctx(g_, c.question, Base());
-  ChaseResult first = AnsWWithContext(ctx);
+  ChaseResult first = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
   ASSERT_TRUE(first.found());
   const uint64_t evals_first = ctx.stats().evaluations;
-  ChaseResult second = AnsWWithContext(ctx);
+  ChaseResult second = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
   ASSERT_TRUE(second.found());
   // The memo answers every repeated rewrite: no new evaluations needed.
   EXPECT_EQ(ctx.stats().evaluations, evals_first);

@@ -82,5 +82,30 @@ TEST(CmpOpTest, Names) {
   EXPECT_STREQ(CmpOpName(CmpOp::kGt), ">");
 }
 
+TEST(LiteralKeyTest, NumbersRenderExactlyAndShortest) {
+  EXPECT_EQ(ValueKey(Value::Num(5)), "5");
+  EXPECT_EQ(ValueKey(Value::Num(0.1)), "0.1");
+  EXPECT_EQ(ValueKey(Value::Num(-2.5)), "-2.5");
+  EXPECT_EQ(ValueKey(Value::Num(-0.0)), ValueKey(Value::Num(0.0)));
+  EXPECT_NE(ValueKey(Value::Num(5.0000003)), ValueKey(Value::Num(5.0000005)));
+  EXPECT_NE(ValueKey(Value::Num(1e-9)), ValueKey(Value::Num(0)));
+  EXPECT_EQ(ValueKey(Value::Null()), "_");
+  EXPECT_EQ(ValueKey(Value::Str(7)), "s7");
+}
+
+TEST(LiteralKeyTest, KeySeparatesAttrOpAndConstant) {
+  const Literal a{2, CmpOp::kGe, Value::Num(5.0000003)};
+  EXPECT_EQ(LiteralKey(a), "2#3#5.0000003");
+  Literal b = a;
+  b.constant = Value::Num(5.0000005);
+  EXPECT_NE(LiteralKey(a), LiteralKey(b));
+  b = a;
+  b.op = CmpOp::kGt;
+  EXPECT_NE(LiteralKey(a), LiteralKey(b));
+  b = a;
+  b.attr = 3;
+  EXPECT_NE(LiteralKey(a), LiteralKey(b));
+}
+
 }  // namespace
 }  // namespace wqe

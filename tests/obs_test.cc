@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <thread>
@@ -63,31 +64,14 @@ TEST(HistogramTest, QuantileWithinBucketBounds) {
   obs::Histogram h;
   for (int i = 0; i < 1000; ++i) h.Observe(1000);
   const obs::Histogram::Snapshot snap = h.Snap();
-  // All mass sits in bucket [512, 1023]. The interpolating default answers
-  // somewhere inside that bucket; the legacy mode answers its upper bound.
+  // All mass sits in bucket [512, 1023]; the interpolated answer lands
+  // somewhere inside that bucket.
   const uint64_t q50 = snap.Quantile(0.5);
   EXPECT_GE(q50, 512u);
   EXPECT_LE(q50, 1023u);
-  EXPECT_EQ(snap.Quantile(0.5, obs::QuantileMode::kBucketUpperBound), 1023u);
   // Every quantile of a single-bucket distribution lands in that bucket.
   EXPECT_GE(snap.Quantile(0.0), 512u);
   EXPECT_LE(snap.Quantile(1.0), 1023u);
-}
-
-TEST(HistogramTest, BucketUpperBoundModeMatchesLegacyBehavior) {
-  obs::Histogram h;
-  for (int i = 0; i < 90; ++i) h.Observe(16);
-  for (int i = 0; i < 10; ++i) h.Observe(1u << 20);
-  const obs::Histogram::Snapshot snap = h.Snap();
-  // Upper-bound mode always weakly dominates interpolation, and is exactly
-  // the containing bucket's last representable value.
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_GE(snap.Quantile(q, obs::QuantileMode::kBucketUpperBound),
-              snap.Quantile(q));
-  }
-  EXPECT_EQ(snap.Quantile(0.5, obs::QuantileMode::kBucketUpperBound), 31u);
-  EXPECT_EQ(snap.Quantile(0.99, obs::QuantileMode::kBucketUpperBound),
-            (1u << 21) - 1);
 }
 
 TEST(HistogramTest, InterpolatedQuantilesPinRelativeError) {
@@ -105,8 +89,9 @@ TEST(HistogramTest, InterpolatedQuantilesPinRelativeError) {
     const uint64_t exact =
         values[static_cast<size_t>(q * static_cast<double>(values.size() - 1))];
     const double interp = static_cast<double>(snap.Quantile(q));
-    const double upper = static_cast<double>(
-        snap.Quantile(q, obs::QuantileMode::kBucketUpperBound));
+    // The raw upper bound of the bucket holding the exact value.
+    const double upper =
+        static_cast<double>((uint64_t{1} << std::bit_width(exact)) - 1);
     const double interp_err =
         std::abs(interp - static_cast<double>(exact)) /
         static_cast<double>(exact);
@@ -114,7 +99,7 @@ TEST(HistogramTest, InterpolatedQuantilesPinRelativeError) {
         std::abs(upper - static_cast<double>(exact)) /
         static_cast<double>(exact);
     // Within-bucket interpolation keeps the relative error under ~35% on a
-    // uniform ramp; the legacy upper bound can be off by ~100% (a full
+    // uniform ramp; the bucket's upper bound can be off by ~100% (a full
     // power-of-two bucket width).
     EXPECT_LE(interp_err, 0.35) << "q=" << q << " exact=" << exact
                                 << " interp=" << interp;

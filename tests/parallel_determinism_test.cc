@@ -45,7 +45,7 @@ RunSnapshot RunAll(const Graph& g, const std::vector<BenchCase>& cases,
   GraphIndexes indexes(g, num_threads);
   for (const BenchCase& c : cases) {
     ChaseContext ctx(g, &indexes, c.question, BaseOptions(num_threads));
-    ChaseResult r = AnsWWithContext(ctx);
+    ChaseResult r = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
     for (const WhyAnswer& a : r.answers) {
       snap.fingerprints.push_back(a.rewrite.Fingerprint());
       snap.matches.push_back(a.matches);

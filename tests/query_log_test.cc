@@ -270,12 +270,12 @@ TEST(QueryLogSolveTest, SolveWithContextAppendsOneRecordPerSolve) {
   WhyQuestion w{demo.Query(), demo.MakeExemplar()};
   {
     ChaseContext ctx(demo.graph(), w, opts);
-    ChaseResult result = SolveWithContext(ctx, Algorithm::kAnsW);
+    ChaseResult result = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
     ASSERT_TRUE(result.found());
   }
   {
     ChaseContext ctx(demo.graph(), w, opts);
-    (void)SolveWithContext(ctx, Algorithm::kAnsHeu);
+    (void)ExecuteWithContext(ctx, Algorithm::kAnsHeu);
   }
   EXPECT_EQ(log.value()->records_written(), 2u);
 
@@ -308,7 +308,7 @@ TEST(QueryLogSolveTest, ExplainGoldenStructureForProductDemo) {
   ChaseOptions opts;  // defaults: budget 3, the §7 setup
   WhyQuestion w{demo.Query(), demo.MakeExemplar()};
   ChaseContext ctx(demo.graph(), w, opts);
-  ChaseResult result = SolveWithContext(ctx, Algorithm::kAnsW);
+  ChaseResult result = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
   ASSERT_TRUE(result.found());
 
   auto parsed =

@@ -62,7 +62,7 @@ class ReportFixture : public ::testing::Test {
   ReportFixture() {
     opts_.budget = 4;
     ctx_ = std::make_unique<ChaseContext>(demo_.graph(), demo_.Question(), opts_);
-    result_ = AnsWWithContext(*ctx_);
+    result_ = ExecuteWithContext(*ctx_, Algorithm::kAnsW).result;
   }
 
   ProductDemo demo_;

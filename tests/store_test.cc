@@ -7,10 +7,12 @@
 #include <fstream>
 #include <string>
 
+#include "chase/eval.h"
 #include "chase/solve.h"
 #include "gen/product_demo.h"
 #include "graph/adom.h"
 #include "graph/distance_index.h"
+#include "index_pins.h"
 #include "match/star.h"
 #include "match/star_table.h"
 #include "match/view_cache.h"
@@ -50,6 +52,19 @@ class StoreFixture : public ::testing::Test {
     f.write(&c, 1);
   }
 
+  /// Materializes the demo query's star views into `cache`, then persists
+  /// them to `s`.
+  void SaveDemoViews(store::ArtifactStore& s, ViewCache& cache) {
+    const PatternQuery q = demo_.Query();
+    StarMaterializer mat(graph());
+    for (const StarQuery& star : DecomposeStars(q)) {
+      cache.Put(star.Signature(q), mat.Materialize(q, star));
+    }
+    ASSERT_GT(cache.size(), 0u);
+    ASSERT_TRUE(s.SaveStarViews(cache, /*max_persisted_entries=*/1u << 20)
+                    .ok());
+  }
+
   static void Truncate(const std::string& path, size_t keep) {
     std::error_code ec;
     fs::resize_file(path, keep, ec);
@@ -77,71 +92,17 @@ TEST_F(StoreFixture, GraphFingerprintStableAndSensitive) {
             store::Serde::GraphFingerprint(other2));
 }
 
-TEST_F(StoreFixture, GraphPayloadRoundTripIsByteIdentical) {
-  const std::string bytes = store::Serde::EncodeGraph(graph());
-  Graph restored;
-  ASSERT_TRUE(store::Serde::DecodeGraph(bytes, &restored).ok());
-  EXPECT_EQ(store::Serde::EncodeGraph(restored), bytes);
-  EXPECT_EQ(restored.num_nodes(), graph().num_nodes());
-  EXPECT_EQ(restored.num_edges(), graph().num_edges());
-  // Attribute values survive (the demo's price attribute).
-  const AttrId price = restored.schema().LookupAttr("price");
-  ASSERT_NE(restored.attr(demo_.p(1), price), nullptr);
-  EXPECT_DOUBLE_EQ(restored.attr(demo_.p(1), price)->num(),
-                   graph().attr(demo_.p(1), price)->num());
-}
-
-TEST_F(StoreFixture, GraphSnapshotRejectsWrongKey) {
-  const std::string path = dir_ + "/snap.wqes";
-  ASSERT_TRUE(store::ArtifactStore::SaveGraphSnapshot(path, graph(), 42).ok());
-  Graph out;
-  EXPECT_TRUE(store::ArtifactStore::LoadGraphSnapshot(path, 42, &out).ok());
-  Graph out2;
-  EXPECT_FALSE(store::ArtifactStore::LoadGraphSnapshot(path, 43, &out2).ok());
-}
-
-TEST_F(StoreFixture, AdomRoundTrip) {
-  auto s = MakeStore();
-  ActiveDomains a(graph());
-  ASSERT_TRUE(s.SaveAdom(a).ok());
-  std::unique_ptr<ActiveDomains> restored;
-  ASSERT_TRUE(s.LoadAdom(graph(), &restored).ok());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(store::Serde::EncodeAdom(*restored), store::Serde::EncodeAdom(a));
-}
-
-TEST_F(StoreFixture, DiameterRoundTripAndMissIsCleanNotFound) {
-  auto s = MakeStore();
-  uint32_t d = 0;
-  const Status miss = s.LoadDiameter(&d);
-  EXPECT_FALSE(miss.ok());
-  EXPECT_EQ(miss.code(), Status::Code::kNotFound);  // miss, not corruption
-  ASSERT_TRUE(s.SaveDiameter(7).ok());
-  ASSERT_TRUE(s.LoadDiameter(&d).ok());
-  EXPECT_EQ(d, 7u);
-}
-
-TEST_F(StoreFixture, DistanceIndexRoundTripIsByteIdentical) {
-  auto s = MakeStore();
-  DistanceIndex::Options opts;
-  DistanceIndex cold(graph(), opts);
-  ASSERT_TRUE(s.SaveDistanceIndex(cold, opts).ok());
-  std::unique_ptr<DistanceIndex> warm;
-  ASSERT_TRUE(s.LoadDistanceIndex(graph(), opts, &warm).ok());
-  ASSERT_NE(warm, nullptr);
-  EXPECT_EQ(store::Serde::EncodeDistanceIndex(*warm),
-            store::Serde::EncodeDistanceIndex(cold));
-}
-
 TEST_F(StoreFixture, DistanceIndexParamsChangeIsAMiss) {
   auto s = MakeStore();
   DistanceIndex::Options opts;
-  DistanceIndex cold(graph(), opts);
-  ASSERT_TRUE(s.SaveDistanceIndex(cold, opts).ok());
+  GraphIndexes built(graph(), /*num_threads=*/1);
+  ASSERT_TRUE(
+      s.SaveBundle(graph(), built.adom, built.diameter, built.dist, opts).ok());
   DistanceIndex::Options other = opts;
   other.use_pll = !other.use_pll;
-  std::unique_ptr<DistanceIndex> warm;
-  EXPECT_FALSE(s.LoadDistanceIndex(graph(), other, &warm).ok());
+  std::unique_ptr<MappedServingState> state;
+  EXPECT_FALSE(OpenServingState(s, other, {}, &state).ok());
+  EXPECT_TRUE(OpenServingState(s, opts, {}, &state).ok());
 }
 
 TEST_F(StoreFixture, DistanceIndexThreadCountDoesNotChangeParams) {
@@ -153,17 +114,12 @@ TEST_F(StoreFixture, DistanceIndexThreadCountDoesNotChangeParams) {
 
 TEST_F(StoreFixture, StarViewsRoundTripThroughCache) {
   auto s = MakeStore();
-  PatternQuery q = demo_.Query();
-  auto stars = DecomposeStars(q);
-  ASSERT_FALSE(stars.empty());
-  StarMaterializer mat(graph());
-  ViewCache cache;
-  for (const StarQuery& star : stars) {
-    cache.Put(star.Signature(q), mat.Materialize(q, star));
-  }
-  ASSERT_TRUE(s.SaveStarViews(cache, /*max_persisted_entries=*/1u << 20).ok());
-
   ViewCache warmed;
+  const Status miss = s.WarmStarViews(graph(), &warmed);
+  EXPECT_EQ(miss.code(), Status::Code::kNotFound);  // miss, not corruption
+  ViewCache cache;
+  SaveDemoViews(s, cache);
+
   ASSERT_TRUE(s.WarmStarViews(graph(), &warmed).ok());
   EXPECT_EQ(warmed.size(), cache.size());
   EXPECT_EQ(warmed.entry_count(), cache.entry_count());
@@ -181,47 +137,50 @@ TEST_F(StoreFixture, StarViewsRoundTripThroughCache) {
 
 TEST_F(StoreFixture, CorruptedPayloadDegradesToRebuild) {
   auto s = MakeStore();
-  ASSERT_TRUE(s.SaveDiameter(9).ok());
-  const std::string path = s.ArtifactPath(store::ArtifactKind::kDiameter);
+  ViewCache cache;
+  SaveDemoViews(s, cache);
+  const std::string path = s.ArtifactPath(store::ArtifactKind::kStarViews);
   FlipByte(path, -1);  // last payload byte: checksum must catch it
-  uint32_t d = 0;
-  const Status st = s.LoadDiameter(&d);
+  ViewCache warmed;
+  const Status st = s.WarmStarViews(graph(), &warmed);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.code(), Status::Code::kNotFound);  // rejected, not missing
   // The rebuild path overwrites the bad file and the store recovers.
-  ASSERT_TRUE(s.SaveDiameter(9).ok());
-  ASSERT_TRUE(s.LoadDiameter(&d).ok());
-  EXPECT_EQ(d, 9u);
+  ASSERT_TRUE(s.SaveStarViews(cache, 1u << 20).ok());
+  ASSERT_TRUE(s.WarmStarViews(graph(), &warmed).ok());
+  EXPECT_EQ(warmed.size(), cache.size());
 }
 
 TEST_F(StoreFixture, TruncatedFileIsRejected) {
   auto s = MakeStore();
-  ASSERT_TRUE(s.SaveDiameter(9).ok());
-  const std::string path = s.ArtifactPath(store::ArtifactKind::kDiameter);
+  ViewCache cache;
+  SaveDemoViews(s, cache);
+  const std::string path = s.ArtifactPath(store::ArtifactKind::kStarViews);
   Truncate(path, 10);  // not even a whole header
-  uint32_t d = 0;
-  EXPECT_FALSE(s.LoadDiameter(&d).ok());
+  ViewCache warmed;
+  const Status st = s.WarmStarViews(graph(), &warmed);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.code(), Status::Code::kNotFound);
+  EXPECT_EQ(warmed.size(), 0u);
 }
 
 TEST_F(StoreFixture, VersionBumpIsRejected) {
   auto s = MakeStore();
-  ASSERT_TRUE(s.SaveDiameter(9).ok());
-  const std::string path = s.ArtifactPath(store::ArtifactKind::kDiameter);
+  ViewCache cache;
+  SaveDemoViews(s, cache);
+  const std::string path = s.ArtifactPath(store::ArtifactKind::kStarViews);
   FlipByte(path, 4);  // header version field
-  uint32_t d = 0;
-  EXPECT_FALSE(s.LoadDiameter(&d).ok());
+  ViewCache warmed;
+  const Status st = s.WarmStarViews(graph(), &warmed);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("version"), std::string::npos) << st.ToString();
+  EXPECT_EQ(warmed.size(), 0u);
 }
 
 TEST_F(StoreFixture, CorruptedStarViewsNeverHalfWarmTheCache) {
   auto s = MakeStore();
-  PatternQuery q = demo_.Query();
-  auto stars = DecomposeStars(q);
-  StarMaterializer mat(graph());
   ViewCache cache;
-  for (const StarQuery& star : stars) {
-    cache.Put(star.Signature(q), mat.Materialize(q, star));
-  }
-  ASSERT_TRUE(s.SaveStarViews(cache, 1u << 20).ok());
+  SaveDemoViews(s, cache);
   FlipByte(s.ArtifactPath(store::ArtifactKind::kStarViews), -1);
   ViewCache warmed;
   EXPECT_FALSE(s.WarmStarViews(graph(), &warmed).ok());
@@ -230,55 +189,69 @@ TEST_F(StoreFixture, CorruptedStarViewsNeverHalfWarmTheCache) {
 
 TEST_F(StoreFixture, GraphIndexesColdAndWarmAreByteIdentical) {
   auto s = MakeStore();
-  GraphIndexes cold(graph(), /*num_threads=*/1, &s);  // builds + writes back
-  GraphIndexes warm(graph(), /*num_threads=*/1, &s);  // loads the snapshots
-  EXPECT_EQ(warm.diameter, cold.diameter);
-  EXPECT_EQ(store::Serde::EncodeAdom(warm.adom),
+  GraphIndexes cold(graph(), /*num_threads=*/1);
+  std::unique_ptr<MappedServingState> first, warm;
+  // First open misses, builds and writes the bundle; the second maps it.
+  ASSERT_TRUE(OpenOrBuildServingState(graph(), s, 1, &first).ok());
+  first.reset();
+  ASSERT_TRUE(OpenServingState(s, DistanceIndex::Options(), {}, &warm).ok());
+  EXPECT_EQ(warm->indexes.diameter, cold.diameter);
+  EXPECT_EQ(store::Serde::EncodeAdom(warm->indexes.adom),
             store::Serde::EncodeAdom(cold.adom));
-  EXPECT_EQ(store::Serde::EncodeDistanceIndex(warm.dist),
-            store::Serde::EncodeDistanceIndex(cold.dist));
+  ExpectSameDistanceIndex(warm->indexes.dist, cold.dist, graph().num_nodes());
 }
 
 TEST_F(StoreFixture, SolveColdThenWarmGivesIdenticalAnswers) {
-  WhyQuestion w{demo_.Query(), demo_.MakeExemplar()};
-  ChaseOptions opts;
-  opts.cache_dir = dir_;
-  opts.max_steps = 200;
+  Request req;
+  req.question = WhyQuestion{demo_.Query(), demo_.MakeExemplar()};
+  req.options.max_steps = 200;
 
-  obs::Observability cold_obs;
-  opts.observability = &cold_obs;
-  ChaseResult cold = Solve(graph(), w, opts);
+  // Cold: heap-built indexes, no store.
+  const Response cold = Execute(graph(), req);
   ASSERT_TRUE(cold.ok());
 
+  // Warm: a second OpenOrBuildServingState maps the bundle the first wrote.
+  auto s = MakeStore();
+  std::unique_ptr<MappedServingState> state;
+  ASSERT_TRUE(OpenOrBuildServingState(graph(), s, 1, &state).ok());
+  state.reset();
   obs::Observability warm_obs;
-  opts.observability = &warm_obs;
-  ChaseResult warm = Solve(graph(), w, opts);
+  s.set_observability(&warm_obs);
+  ASSERT_TRUE(OpenOrBuildServingState(graph(), s, 1, &state).ok());
+  // The warm open actually used the store (no rebuild)...
+  EXPECT_EQ(warm_obs.metrics.counter("store.hits").Value(), 1u);
+  EXPECT_EQ(warm_obs.metrics.counter("store.saves").Value(), 0u);
+  const Response warm =
+      Execute(state->graph(), &state->indexes, nullptr, nullptr, req);
   ASSERT_TRUE(warm.ok());
 
-  // The warm run actually used the store...
-  EXPECT_GT(warm_obs.metrics.counter("store.hits").Value(), 0u);
   // ...and produced the same answers, closeness, and matches.
-  ASSERT_EQ(warm.answers.size(), cold.answers.size());
-  for (size_t i = 0; i < warm.answers.size(); ++i) {
-    EXPECT_EQ(warm.answers[i].fingerprint, cold.answers[i].fingerprint);
-    EXPECT_EQ(warm.answers[i].matches, cold.answers[i].matches);
-    EXPECT_DOUBLE_EQ(warm.answers[i].closeness, cold.answers[i].closeness);
+  ASSERT_EQ(warm.result.answers.size(), cold.result.answers.size());
+  for (size_t i = 0; i < warm.result.answers.size(); ++i) {
+    const WhyAnswer& w = warm.result.answers[i];
+    const WhyAnswer& c = cold.result.answers[i];
+    EXPECT_EQ(w.fingerprint, c.fingerprint);
+    EXPECT_EQ(w.rewrite.Fingerprint(), c.rewrite.Fingerprint());
+    EXPECT_EQ(w.matches, c.matches);
+    EXPECT_DOUBLE_EQ(w.closeness, c.closeness);
   }
 }
 
 TEST_F(StoreFixture, MutatedGraphRejectsStaleArtifacts) {
   auto s = MakeStore();
-  ASSERT_TRUE(s.SaveDiameter(5).ok());
+  ViewCache cache;
+  SaveDemoViews(s, cache);
   // Same directory, different graph: the fingerprint key changes, so the
   // store looks in a different per-graph subdirectory — a clean miss.
   Graph other;
   other.AddNode("A");
   other.Finalize();
   store::ArtifactStore s2(dir_, store::Serde::GraphFingerprint(other));
-  uint32_t d = 0;
-  const Status st = s2.LoadDiameter(&d);
+  ViewCache warmed;
+  const Status st = s2.WarmStarViews(other, &warmed);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kNotFound);
+  EXPECT_EQ(warmed.size(), 0u);
 }
 
 }  // namespace

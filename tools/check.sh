@@ -12,12 +12,12 @@
 #      listener up, /statusz + /metricsz + /requestz scraped over real HTTP,
 #      their counts cross-checked against the replay client's own totals,
 #      and wqe_top --once rendered against the lingering server;
-#   6. a store v2 mmap serving stage: the same trace replayed --strict from
-#      the v1 heap path and from the mmap bundle (byte-identity across
-#      storage generations), then two concurrent wqe_serve processes
-#      sharing one bundle file;
+#   6. a bundle serving stage: the same trace replayed --strict from a heap
+#      build (no store) and from the mmap bundle (byte-identity across the
+#      two), then two concurrent wqe_serve processes sharing one bundle file;
 #   7. an Address+UndefinedBehaviorSanitizer build running the whole suite
-#      (including the mmap fault-injection tests in mmap_store_test);
+#      (including the bundle fault-injection tests in mmap_store_test and
+#      bundle_mutation_test);
 #   8. a ThreadSanitizer build (WQE_SANITIZE=thread) running the tests that
 #      exercise the parallel evaluation layer, the serving layer, and the
 #      telemetry structures (sliding windows, flight recorder, scope folds).
@@ -90,9 +90,9 @@ echo "== benchmark regression gate (quick mode) =="
 GATE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP"' EXIT
 GATE_CACHE="${WQE_CACHE_DIR:-$GATE_TMP/cache}"
-# Warm-up pass populates the artifact store so the gated run measures the
-# solver, not index construction; then the real run compares against the
-# committed baseline.
+# Warm-up pass populates the artifact store (persisted star views and the
+# cold-start bundle) so the gated run measures warm solves; then the real
+# run compares against the committed baseline.
 ./build/tools/bench_gate --label=warm --repeat=1 --cache-dir="$GATE_CACHE" \
   --out-dir="$GATE_TMP" --baseline=BENCH_BASELINE.json >/dev/null
 ./build/tools/bench_gate --label=check --repeat=5 --cache-dir="$GATE_CACHE" \
@@ -174,27 +174,27 @@ grep -q "flight recorder dump" "$SERVE_TMP/linger.err" || {
   echo "telemetry smoke: SIGUSR1 produced no flight dump"; exit 1; }
 echo "telemetry smoke: /statusz+/metricsz+/requestz agree (completed $SRV_COMPLETED, shed $SRV_SHED); wqe_top and SIGUSR1 dump OK"
 
-echo "== store v2 mmap serving =="
-# Byte-identity across storage generations: the SAME recorded trace must
-# replay --strict both from the v1 heap path and from the v2 mmap bundle
-# (first --mmap run builds bundle.wqes, second reopens it zero-copy).
+echo "== bundle serving =="
+# Byte-identity across storage: the SAME recorded trace must replay --strict
+# both from a heap build (no --cache-dir) and from the mmap bundle (the first
+# --cache-dir run builds bundle.wqes and serves from its mapping).
+./build/tools/wqe_serve "$SERVE_TMP/g.graph" "$SERVE_TMP/trace.jsonl" \
+  --strict >/dev/null
 ./build/tools/wqe_serve "$SERVE_TMP/g.graph" "$SERVE_TMP/trace.jsonl" \
   --cache-dir "$SERVE_TMP/cache" --strict >/dev/null
-./build/tools/wqe_serve "$SERVE_TMP/g.graph" "$SERVE_TMP/trace.jsonl" \
-  --cache-dir "$SERVE_TMP/cache" --mmap --strict >/dev/null
 [ -f "$SERVE_TMP"/cache/fp-*/bundle.wqes ] || {
-  echo "mmap serving: no bundle written"; exit 1; }
+  echo "bundle serving: no bundle written"; exit 1; }
 # Two concurrent serving processes sharing the one bundle file: both must
 # replay strictly clean while mapping the same physical bytes.
 ./build/tools/wqe_serve "$SERVE_TMP/g.graph" "$SERVE_TMP/trace.jsonl" \
-  --cache-dir "$SERVE_TMP/cache" --mmap --strict >/dev/null &
+  --cache-dir "$SERVE_TMP/cache" --strict >/dev/null &
 PID_A=$!
 ./build/tools/wqe_serve "$SERVE_TMP/g.graph" "$SERVE_TMP/trace.jsonl" \
-  --cache-dir "$SERVE_TMP/cache" --mmap --strict >/dev/null &
+  --cache-dir "$SERVE_TMP/cache" --strict >/dev/null &
 PID_B=$!
-wait "$PID_A" || { echo "mmap serving: concurrent process A failed"; exit 1; }
-wait "$PID_B" || { echo "mmap serving: concurrent process B failed"; exit 1; }
-echo "mmap serving: heap and mmap replays byte-identical; two processes shared one bundle"
+wait "$PID_A" || { echo "bundle serving: concurrent process A failed"; exit 1; }
+wait "$PID_B" || { echo "bundle serving: concurrent process B failed"; exit 1; }
+echo "bundle serving: heap and bundle replays byte-identical; two processes shared one bundle"
 
 echo "== Address+UB Sanitizer build =="
 cmake -B build-asan -S . -DWQE_SANITIZE=address,undefined \
@@ -209,20 +209,19 @@ echo "== corrupted-cache drill (ASan build) =="
 DRILL="$(mktemp -d)"
 trap 'rm -rf "$DRILL" "$SERVE_TMP" "$GATE_TMP"' EXIT
 ./build-asan/tools/wqe demo "$DRILL" >/dev/null
-# --mmap so the store also writes (and later re-opens) the v2 bundle: the
-# drill then covers both storage generations, including the mmap'd read path
-# under ASan.
+# The store writes the bundle and the star views; the drill covers both,
+# including the mmap'd read path under ASan.
 ./build-asan/tools/wqe why "$DRILL/product.graph" "$DRILL/product.query" \
-  "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" --mmap >/dev/null
+  "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" >/dev/null
 SNAPSHOTS=$(find "$DRILL/cache" -name '*.wqes' | wc -l)
 [ "$SNAPSHOTS" -gt 1 ] || { echo "drill: no snapshots written"; exit 1; }
 find "$DRILL/cache" -name 'bundle.wqes' | grep -q . || {
-  echo "drill: no v2 bundle written"; exit 1; }
+  echo "drill: no bundle written"; exit 1; }
 find "$DRILL/cache" -name '*.wqes' | while read -r f; do
   printf '\x5a' | dd of="$f" bs=1 seek=50 count=1 conv=notrunc status=none
 done
 ./build-asan/tools/wqe why "$DRILL/product.graph" "$DRILL/product.query" \
-  "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" --mmap >/dev/null
+  "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" >/dev/null
 echo "drill: $SNAPSHOTS snapshots corrupted, rebuild survived"
 
 echo "== ThreadSanitizer build =="

@@ -13,7 +13,6 @@
 // canonical paper names (AnsW, AnsHeu, ApxWhyM, AnsWE, FMAnsW) work too.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,7 +32,6 @@
 #include "graph/stats.h"
 #include "query/query_text.h"
 #include "store/artifact_store.h"
-#include "store/format.h"
 #include "store/serde.h"
 
 namespace {
@@ -51,7 +49,7 @@ int Usage() {
                "  wqe why <graph> <query> <exemplar> [--budget B] [--top-k K]\n"
                "          [--beam W] [--deadline SECONDS] [--threads N|auto]\n"
                "          [--algo answ|heu|whym|whye|fm] [--explain] [--json]\n"
-               "          [--cache-dir DIR] [--mmap] [--trace-out FILE]\n"
+               "          [--cache-dir DIR] [--trace-out FILE]\n"
                "          [--metrics-out FILE] [--query-log FILE]\n"
                "          [--sample-resources]\n");
   return 2;
@@ -82,32 +80,7 @@ bool WriteFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// Loads the text graph format; with a cache dir, a checksummed binary
-/// snapshot keyed by the text file's bytes is consulted first (and written
-/// back after a cold parse), so repeated `wqe why --cache-dir` invocations
-/// skip parse + Finalize. Editing the .graph file changes the key, which
-/// orphans — never resurrects — the stale snapshot; a corrupted snapshot is
-/// rejected by its checksum and rebuilt from the text silently.
-Graph LoadGraphOrDie(const std::string& path, const std::string& cache_dir = "") {
-  if (!cache_dir.empty()) {
-    const std::string text = ReadFileOrDie(path);
-    const uint64_t key = store::Fnv1a(text);
-    char name[64];
-    std::snprintf(name, sizeof(name), "/graph-%016llx.wqes",
-                  static_cast<unsigned long long>(key));
-    const std::string snap = cache_dir + name;
-    Graph g;
-    if (store::ArtifactStore::LoadGraphSnapshot(snap, key, &g).ok()) return g;
-    auto r = GraphIo::FromString(text);
-    if (!r.ok()) {
-      std::fprintf(stderr, "error loading graph: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
-    // Best-effort write-back: a read-only cache dir must not fail the run.
-    (void)store::ArtifactStore::SaveGraphSnapshot(snap, r.value(), key);
-    return std::move(r).value();
-  }
+Graph LoadGraphOrDie(const std::string& path) {
   auto r = GraphIo::Load(path);
   if (!r.ok()) {
     std::fprintf(stderr, "error loading graph: %s\n", r.status().ToString().c_str());
@@ -229,13 +202,7 @@ int CmdWhyNot(int argc, char** argv) {
 
 int CmdWhy(int argc, char** argv) {
   if (argc < 3) return Usage();
-  // --cache-dir is pre-scanned so the graph load itself can hit the binary
-  // snapshot; every other flag is handled in the main loop below.
-  std::string cache_dir;
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--cache-dir") == 0) cache_dir = argv[i + 1];
-  }
-  Graph g = LoadGraphOrDie(argv[0], cache_dir);
+  Graph g = LoadGraphOrDie(argv[0]);
   auto q = QueryText::Parse(ReadFileOrDie(argv[1]), &g.schema());
   if (!q.ok()) {
     std::fprintf(stderr, "error parsing query: %s\n",
@@ -257,7 +224,6 @@ int CmdWhy(int argc, char** argv) {
   bool sample_resources = false;
   bool explain = false;
   bool json = false;
-  bool use_mmap = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -284,9 +250,7 @@ int CmdWhy(int argc, char** argv) {
       }
       opts.num_threads = parsed.value();
     } else if (arg == "--cache-dir") {
-      opts.cache_dir = next();  // value already captured by the pre-scan
-    } else if (arg == "--mmap") {
-      use_mmap = true;
+      opts.cache_dir = next();
     } else if (arg == "--algo") {
       algo = next();
     } else if (arg == "--trace-out") {
@@ -353,19 +317,14 @@ int CmdWhy(int argc, char** argv) {
   req.options = opts;
   req.algorithm = *parsed;
 
-  // --mmap: solve against the zero-copy bundle graph with its attached
+  // --cache-dir: solve against the zero-copy bundle graph with its attached
   // indexes (built and written back on first run). The heap-loaded graph is
   // only the bundle key / rebuild source then.
-  std::unique_ptr<store::ArtifactStore> bundle_store;
   std::unique_ptr<MappedServingState> mapped;
-  if (use_mmap) {
-    if (opts.cache_dir.empty()) {
-      std::fprintf(stderr, "error: --mmap requires --cache-dir\n");
-      return 2;
-    }
-    bundle_store = std::make_unique<store::ArtifactStore>(
+  if (!opts.cache_dir.empty()) {
+    store::ArtifactStore bundle_store(
         opts.cache_dir, store::Serde::GraphFingerprint(g), &observability);
-    if (Status s = OpenOrBuildServingState(g, *bundle_store, opts.num_threads,
+    if (Status s = OpenOrBuildServingState(g, bundle_store, opts.num_threads,
                                            &mapped);
         !s.ok()) {
       std::fprintf(stderr, "error: cannot open mmap bundle: %s\n",
@@ -373,15 +332,9 @@ int CmdWhy(int argc, char** argv) {
       return 1;
     }
   }
-  const Graph& wg = mapped != nullptr ? mapped->graph() : g;
-
-  std::optional<ChaseContext> ctx_storage;
-  if (mapped != nullptr) {
-    ctx_storage.emplace(wg, &mapped->indexes, req.question, req.options);
-  } else {
-    ctx_storage.emplace(wg, req.question, req.options);
-  }
-  ChaseContext& ctx = *ctx_storage;
+  ChaseContext ctx(mapped != nullptr ? mapped->graph() : g,
+                   mapped != nullptr ? &mapped->indexes : nullptr,
+                   req.question, req.options);
   if (!json) {
     std::printf("Original query:\n%s\nQ(G): ",
                 req.question.query.ToString(g.schema()).c_str());

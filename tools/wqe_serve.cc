@@ -5,7 +5,7 @@
 //
 //   wqe_serve <graph> <trace.jsonl> [--qps R] [--concurrency N]
 //             [--max-queue Q] [--budget B] [--deadline S] [--threads N|auto]
-//             [--limit N] [--repeat K] [--cache-dir DIR] [--mmap]
+//             [--limit N] [--repeat K] [--cache-dir DIR]
 //             [--metrics-out FILE] [--no-check-fp] [--strict]
 //             [--telemetry-port P] [--port-file FILE] [--scrape-dir DIR]
 //             [--linger S]
@@ -19,11 +19,12 @@
 // the server (and its telemetry port) up S seconds after the replay so an
 // operator can point curl or wqe_top at a live process.
 //
-// --mmap (requires --cache-dir) serves from the store v2 zero-copy bundle:
-// the graph columns and PLL index are mmap'ed read-only straight from
-// bundle.wqes, so cold start is near-instant after the first run and any
-// number of concurrent wqe_serve processes share one physical copy via the
-// page cache. Missing/stale bundles are rebuilt and written back.
+// --cache-dir DIR serves from the store's zero-copy bundle: the graph
+// columns and PLL index are mmap'ed read-only straight from bundle.wqes, so
+// cold start is near-instant after the first run and any number of
+// concurrent wqe_serve processes share one physical copy via the page cache.
+// Missing/stale bundles are rebuilt and written back. The server also warms
+// its star-view cache from DIR and persists it on shutdown.
 //
 // --qps 0 (default) runs closed-loop: every request is submitted
 // immediately, so the run measures peak sustainable throughput under
@@ -33,7 +34,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -60,7 +60,7 @@ int Usage() {
                "usage: wqe_serve <graph> <trace.jsonl> [--qps R]\n"
                "       [--concurrency N] [--max-queue Q] [--budget B]\n"
                "       [--deadline S] [--threads N|auto] [--limit N]\n"
-               "       [--repeat K] [--cache-dir DIR] [--mmap]\n"
+               "       [--repeat K] [--cache-dir DIR]\n"
                "       [--metrics-out FILE] [--no-check-fp] [--strict]\n"
                "       [--telemetry-port P] [--port-file FILE]\n"
                "       [--scrape-dir DIR] [--linger S]\n");
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   std::string scrape_dir;
   double linger_seconds = 0;
   bool strict = false;
-  bool use_mmap = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -138,8 +137,6 @@ int main(int argc, char** argv) {
       replay_opts.repeat = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--cache-dir") {
       server_opts.cache_dir = next();
-    } else if (arg == "--mmap") {
-      use_mmap = true;
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (arg == "--telemetry-port") {
@@ -164,19 +161,14 @@ int main(int argc, char** argv) {
   server_opts.observability = &obs;
 
   Timer startup;
-  // --mmap: attach the serving state zero-copy from the bundle (building and
-  // writing it back on first run); the server then borrows the attached
-  // indexes and the mapped graph replaces the heap-loaded one.
-  std::unique_ptr<store::ArtifactStore> bundle_store;
+  // --cache-dir: attach the serving state zero-copy from the bundle
+  // (building and writing it back on first run); the server then borrows the
+  // attached indexes and the mapped graph replaces the heap-loaded one.
   std::unique_ptr<MappedServingState> mapped;
-  if (use_mmap) {
-    if (server_opts.cache_dir.empty()) {
-      std::fprintf(stderr, "error: --mmap requires --cache-dir\n");
-      return 2;
-    }
-    bundle_store = std::make_unique<store::ArtifactStore>(
+  if (!server_opts.cache_dir.empty()) {
+    store::ArtifactStore bundle_store(
         server_opts.cache_dir, store::Serde::GraphFingerprint(g), &obs);
-    if (Status s = OpenOrBuildServingState(g, *bundle_store,
+    if (Status s = OpenOrBuildServingState(g, bundle_store,
                                            /*num_threads=*/0, &mapped);
         !s.ok()) {
       std::fprintf(stderr, "error: cannot open mmap bundle: %s\n",
@@ -188,10 +180,9 @@ int main(int argc, char** argv) {
   const Graph& serve_graph = mapped != nullptr ? mapped->graph() : g;
 
   serve::Server server(serve_graph, server_opts);
-  std::printf("server up in %.2fs: concurrency %zu, queue bound %zu%s%s\n",
+  std::printf("server up in %.2fs: concurrency %zu, queue bound %zu%s\n",
               startup.ElapsedSeconds(), server.concurrency(),
               server.options().max_queue,
-              server_opts.cache_dir.empty() ? "" : " (warm store)",
               mapped != nullptr ? " (mmap bundle)" : "");
 
   if (server_opts.telemetry_port >= 0) {
