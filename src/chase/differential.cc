@@ -42,14 +42,12 @@ DifferentialTable BuildDifferentialTable(ChaseContext& ctx,
   // against a cold context (post-hoc explain, log mining) re-verifies only
   // each op's neighborhood instead of re-evaluating every prefix in full.
   // Against a warm context the memo still answers first, as before.
-  const bool use_delta = ctx.options().use_delta_eval;
   DeltaEvaluator delta(ctx);
   auto prev = ctx.Evaluate(q, prefix);
   for (const Op& op : ops.ops()) {
     if (!Apply(op, &q, ctx.options().max_bound)) break;
     prefix.Append(op);
-    auto next = use_delta ? delta.Evaluate(q, prefix, prev.get(), {op})
-                          : ctx.Evaluate(q, prefix);
+    auto next = delta.Evaluate(q, prefix, prev.get(), {op});
 
     DifferentialEntry entry;
     entry.op = op;

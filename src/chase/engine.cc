@@ -121,12 +121,12 @@ void Run(const EngineConfig& cfg, ChaseState& state) {
       }
     }
 
-    // Bound cut (delta path): a refine-only child's cl⁺ is dominated by its
-    // parent's, so when the parent bound already falls under the solver's
-    // pruning threshold the child's post-evaluation ShouldPrune verdict is
-    // known without evaluating. Placed after dedup so `visited` — and with
-    // it every later dedup decision — is identical with the cut on or off.
-    if (opts.use_delta_eval && prop.base_eval != nullptr && !prop.ops.empty()) {
+    // Bound cut: a refine-only child's cl⁺ is dominated by its parent's, so
+    // when the parent bound already falls under the solver's pruning
+    // threshold the child's post-evaluation ShouldPrune verdict is known
+    // without evaluating. Placed after dedup so `visited` — and with it every
+    // later dedup decision — does not depend on which children were cut.
+    if (prop.base_eval != nullptr && !prop.ops.empty()) {
       bool refine_only = true;
       for (const Op& op : prop.ops) refine_only = refine_only && op.is_refine();
       if (refine_only &&
@@ -201,19 +201,12 @@ void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
 }
 
 EvalFn ContextEval(ChaseContext& ctx) {
-  if (ctx.options().use_delta_eval) {
-    // The delta evaluator lives in the closure: one instance per engine run,
-    // so its resolved counters survive across evaluations.
-    auto delta = std::make_shared<DeltaEvaluator>(ctx);
-    return [delta](PatternQuery&& query, OpSequence ops, const Proposal& prop) {
-      Judged j;
-      j.eval = delta->Evaluate(query, std::move(ops), prop.base_eval, prop.ops);
-      return j;
-    };
-  }
-  return [&ctx](PatternQuery&& query, OpSequence ops, const Proposal&) {
+  // The delta evaluator lives in the closure: one instance per engine run,
+  // so its resolved counters survive across evaluations.
+  auto delta = std::make_shared<DeltaEvaluator>(ctx);
+  return [delta](PatternQuery&& query, OpSequence ops, const Proposal& prop) {
     Judged j;
-    j.eval = ctx.Evaluate(query, std::move(ops));
+    j.eval = delta->Evaluate(query, std::move(ops), prop.base_eval, prop.ops);
     return j;
   };
 }
@@ -394,7 +387,7 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo) {
     } catch (const DeadlineExceeded&) {
       // Backstop for evaluation paths without a solver-level handler: honor
       // the anytime contract with the root as the (possibly non-satisfying)
-      // fallback answer instead of propagating out of Solve().
+      // fallback answer instead of propagating out of Execute().
       result = ChaseResult();
       result.cl_star = ctx.cl_star();
       result.answers.push_back(MakeAnswer(*ctx.root()));

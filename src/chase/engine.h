@@ -293,7 +293,9 @@ WhyAnswer MakeAnswer(const EvalResult& eval);
 void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
               ChaseResult* result);
 
-/// The default evaluator: ChaseContext::Evaluate (star views, cache, memo).
+/// The default evaluator: a DeltaEvaluator over the context (star views,
+/// cache, memo), evaluating each child against the proposal's `base_eval`
+/// and falling back to ChaseContext::Evaluate when the delta is not local.
 EvalFn ContextEval(ChaseContext& ctx);
 
 /// Session-level ChaseStats accumulation (moved out of session.cc so every

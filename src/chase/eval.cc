@@ -222,10 +222,9 @@ std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
     };
     auto eval = star_matcher_.Evaluate(q, &priority);
     result->matches = std::move(eval.matches);
-    // Keep the resolved star state on the node only when the delta path may
-    // consume it for children — otherwise drop it here so chase nodes do not
-    // pin table snapshots past the view cache's eviction decisions.
-    if (opts_.use_delta_eval) result->star_state = std::move(eval.state);
+    // The delta evaluator reuses the resolved star state for this node's
+    // children.
+    result->star_state = std::move(eval.state);
     if (opts_.use_memo) match_memo_.emplace(fp, result->matches);
   }
 

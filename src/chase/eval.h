@@ -42,8 +42,7 @@ struct EvalResult {
   bool refined = false;  // ops contains at least one refinement operator
 
   /// Star-view state of the evaluation that produced `matches` (the
-  /// decomposition plus resolved tables). Carried only when
-  /// ChaseOptions::use_delta_eval is set; null on memo hits and on results
+  /// decomposition plus resolved tables). Null on memo hits and on results
   /// restored from elsewhere. The delta evaluator reuses it for this node's
   /// children — null simply forces table resolution through the cache.
   std::shared_ptr<const StarEvalState> star_state;

@@ -1,7 +1,7 @@
 #ifndef WQE_CHASE_MULTI_FOCUS_H_
 #define WQE_CHASE_MULTI_FOCUS_H_
 
-#include "chase/answ.h"
+#include "chase/solve.h"
 
 namespace wqe {
 

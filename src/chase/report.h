@@ -4,7 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "chase/answ.h"
 #include "chase/differential.h"
 #include "chase/solve.h"
 #include "obs/flight_recorder.h"

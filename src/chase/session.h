@@ -5,8 +5,8 @@
 #include <span>
 #include <string>
 
-#include "chase/answ.h"
 #include "chase/differential.h"
+#include "chase/solve.h"
 
 namespace wqe {
 

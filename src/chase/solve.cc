@@ -100,13 +100,4 @@ Response Execute(const Graph& g, const Request& req) {
   return Execute(g, nullptr, nullptr, nullptr, req);
 }
 
-ChaseResult Solve(const Graph& g, const WhyQuestion& w, const ChaseOptions& opts,
-                  Algorithm algo) {
-  Request req;
-  req.question = w;
-  req.options = opts;
-  req.algorithm = algo;
-  return Execute(g, req).result;
-}
-
 }  // namespace wqe

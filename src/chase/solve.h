@@ -96,20 +96,64 @@ Response Execute(const Graph& g, GraphIndexes* indexes, ViewCache* shared_cache,
 Response ExecuteWithContext(ChaseContext& ctx, Algorithm algo,
                             bool collect_report = false);
 
-/// Convenience wrapper over Execute for callers that only want the
-/// ChaseResult (tests, examples, one-shot tooling).
-ChaseResult Solve(const Graph& g, const WhyQuestion& w, const ChaseOptions& opts,
-                  Algorithm algo = Algorithm::kAnsW);
-
 namespace internal {
 
 // The actual solver bodies (answ.cc, answe.cc, ans_heu.cc, fm_answ.cc,
-// apx_whym.cc). Only the engine dispatcher and the parity tests call these
-// directly: they skip validation and observability bookkeeping.
+// apx_whym.cc), reached through Execute / ExecuteWithContext and the
+// Algorithm enumerator. Only the engine dispatcher calls these directly:
+// they skip validation and observability bookkeeping.
+
+/// Algorithm AnsW (Fig 5): anytime best-first simulation of the Q-Chase
+/// tree with backtracking, picky-operator generation (Fig 7), the §5.4
+/// pruning strategies, star-view caching, and the top-k extension of §6.2.
+/// The ablations of §7 are option toggles:
+///   AnsW    — defaults;
+///   AnsWnc  — use_cache = false;
+///   AnsWb   — use_cache = false, use_pruning = false.
 ChaseResult RunAnsW(ChaseContext& ctx);
+
+/// Algorithm AnsWE (§6.1, Lemma 6.2): answers removal-only Why-Empty
+/// questions — Q returns no relevant match; revise it with RmL / RmE so at
+/// least one relevant candidate becomes a match, in
+/// O(|Q| · |rep(ℰ,V)| · |V|) time.
+///
+/// Each literal of the focus, each non-focus node (as a single anchored
+/// edge at its pattern distance), and each literal of a non-focus node is an
+/// *atomic condition* evaluated as its own query fragment. A relevant
+/// candidate v is repairable iff the total cost of the removal operators for
+/// the fragments v fails fits in B; the cheapest repairable candidate's
+/// operator set is the answer.
 ChaseResult RunAnsWE(ChaseContext& ctx);
+
+/// Algorithm AnsHeu (§5.5): breadth-first beam search over the Q-Chase tree
+/// with beam width k = ChaseOptions::beam. Each round expands every rewrite
+/// in the beam with its top-k picky operators per class (at most 8k ops),
+/// evaluates the children, and keeps the k best by closeness. No
+/// backtracking — hence the flat time curves of Fig 10(d)-(g).
+///
+/// With ChaseOptions::random_ops = true this is AnsHeuB, the ablation that
+/// replaces picky ranking by seeded random operator selection (Exp-3).
 ChaseResult RunAnsHeu(ChaseContext& ctx);
+
+/// Baseline FMAnsW (§7): query suggestion by frequent-pattern mining around
+/// V_{u_o}, adapting the reformulation approach of Mottin et al. [21].
+/// Mines features frequent among the exemplar-relevant nodes — attribute
+/// values and adjacent labels — assembles candidate rewrites of the focus
+/// star from feature subsets within the budget, and evaluates each from
+/// scratch (no picky guidance, no star-view reuse), returning the rewrite
+/// with the best closeness. Deliberately exhaustive over its bounded feature
+/// lattice; the comparison baseline of Fig 10(a)/(i) and Fig 12.
 ChaseResult RunFMAnsW(ChaseContext& ctx);
+
+/// Algorithm ApxWhyM (Fig 9, Theorem 6.1): answers Why-Many questions —
+/// refine Q (refinement operators only, cost ≤ B) so that as many
+/// exemplar-irrelevant matches as possible are removed, maximizing
+/// cl(Q'(G), ℰ).
+///
+/// Reduction to budgeted weighted max-coverage: each seed refinement
+/// operator o covers IM(o) ⊆ I(u_o); greedy marginal-gain-per-cost
+/// selection compared against the best single operator yields the
+/// fixed-parameter ½(1 − 1/e) approximation.
 ChaseResult RunApxWhyM(ChaseContext& ctx);
 
 }  // namespace internal

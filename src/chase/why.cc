@@ -48,13 +48,12 @@ uint64_t ChaseOptions::Fingerprint() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "b=%.9g|mb=%u|th=%.9g|la=%.9g|c=%d|m=%d|p=%d|d=%d|beam=%zu|"
-                "r=%d|seed=%llu|k=%zu|w=%zu|dn=%zu|ms=%zu|de=%d|mp=%d",
+                "r=%d|seed=%llu|k=%zu|w=%zu|dn=%zu|ms=%zu|mp=%d",
                 budget, max_bound, closeness.theta, closeness.lambda,
                 use_cache ? 1 : 0, use_memo ? 1 : 0, use_pruning ? 1 : 0,
                 dedup_rewrites ? 1 : 0, beam, random_ops ? 1 : 0,
                 static_cast<unsigned long long>(seed), top_k, max_witnesses,
-                max_diagnosed_nodes, max_steps, use_delta_eval ? 1 : 0,
-                use_match_pipeline ? 1 : 0);
+                max_diagnosed_nodes, max_steps, use_match_pipeline ? 1 : 0);
   return store::Fnv1a(buf);
 }
 

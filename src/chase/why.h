@@ -56,18 +56,6 @@ struct ChaseOptions {
   /// (which also implies use_cache = false in the paper's setup).
   bool use_pruning = true;
 
-  /// Incremental star re-verification (DESIGN.md "Incremental evaluation"):
-  /// evaluate a child rewrite as a delta against its parent — reuse the
-  /// parent's star tables for untouched stars, re-verify only the affected
-  /// focus candidates (new candidates after a relaxation, surviving parent
-  /// matches after a refinement), and cut refine children whose parent cl⁺
-  /// bound already falls under the incumbent threshold. Falls back to full
-  /// evaluation whenever the delta is not provably local (focus-touching
-  /// ops, mixed-polarity payloads, no parent state). Match sets — and hence
-  /// every answer — are identical either way; only the work differs. Off =
-  /// the abl_delta_eval control arm.
-  bool use_delta_eval = true;
-
   /// Compiled, staged match pipeline (DESIGN.md "Match pipeline"): per-node
   /// filters compile once per query-node signature into FilterPlans (label
   /// seed + attribute predicates grouped by AttrId) and candidate probes run
@@ -116,7 +104,7 @@ struct ChaseOptions {
   /// must outlive every context built from these options.
   obs::Observability* observability = nullptr;
 
-  /// Structured query-log sink: when set, every Solve/ExecuteWithContext call
+  /// Structured query-log sink: when set, every Execute/ExecuteWithContext call
   /// appends one JSONL provenance record (algorithm, fingerprints, applied
   /// op sequence, per-phase self-times, cache/store traffic, termination —
   /// see DESIGN.md "Telemetry & regression gating"). Null = no logging, no
@@ -132,10 +120,10 @@ struct ChaseOptions {
   /// with OpenOrBuildServingState). Empty = fully in-memory.
   std::string cache_dir;
 
-  /// Boundary validation for the unified Solve entry point: rejects option
+  /// Boundary validation for the Execute entry points: rejects option
   /// combinations the solvers would otherwise have to clamp silently
   /// (top_k/beam/max_bound of 0, negative budget or time limit, θ/λ outside
-  /// [0, 1]). Solve and ExploratorySession call this once; the solvers then
+  /// [0, 1]). Execute and ExploratorySession call this once; the solvers then
   /// assume well-formed options.
   Status Validate() const;
 

@@ -10,7 +10,7 @@ namespace wqe {
 /// Thrown from deadline-aware inner loops (star-table materialization,
 /// candidate verification) when the armed wall-clock budget runs out
 /// mid-pass. Solvers catch it, keep the best answer found so far, and report
-/// TerminationReason::kDeadline — it never escapes Solve().
+/// TerminationReason::kDeadline — it never escapes Execute().
 class DeadlineExceeded : public std::runtime_error {
  public:
   DeadlineExceeded() : std::runtime_error("wall-clock deadline exceeded") {}

@@ -1,40 +1,23 @@
 #include "exemplar/exemplar_text.h"
 
 #include <sstream>
+#include <string_view>
 #include <vector>
+
+#include "common/text_parse.h"
 
 namespace wqe {
 
 namespace {
-
-std::vector<std::string> SplitWs(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-bool ParseCmp(const std::string& s, CmpOp* op) {
-  if (s == "<") *op = CmpOp::kLt;
-  else if (s == "<=") *op = CmpOp::kLe;
-  else if (s == "=") *op = CmpOp::kEq;
-  else if (s == ">=") *op = CmpOp::kGe;
-  else if (s == ">") *op = CmpOp::kGt;
-  else return false;
-  return true;
-}
 
 // Parses "t<i>.<attr>" into a VarRef; returns false on malformed input.
 bool ParseVarRef(const std::string& s, Schema* schema, VarRef* out) {
   if (s.size() < 4 || s[0] != 't') return false;
   const size_t dot = s.find('.');
   if (dot == std::string::npos || dot < 2) return false;
-  const std::string index = s.substr(1, dot - 1);
-  for (char ch : index) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) return false;
+  if (!ParseU32(std::string_view(s).substr(1, dot - 1), &out->tuple)) {
+    return false;
   }
-  out->tuple = static_cast<uint32_t>(std::stoul(index));
   out->attr = schema->InternAttr(s.substr(dot + 1));
   return true;
 }
@@ -51,15 +34,10 @@ bool ParseCellValue(const std::string& s, Schema* schema, Value* out,
     *out = schema->InternStr(s.substr(4));
     return true;
   }
-  try {
-    size_t used = 0;
-    const double num = std::stod(s, &used);
-    if (used != s.size()) return false;
-    *out = Value::Num(num);
-    return true;
-  } catch (...) {
-    return false;
-  }
+  double num = 0;
+  if (!ParseDouble(s, &num)) return false;
+  *out = Value::Num(num);
+  return true;
 }
 
 }  // namespace
@@ -106,8 +84,8 @@ Result<Exemplar> ExemplarText::Parse(const std::string& text, Schema* schema) {
   size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    auto f = SplitWs(line);
+    const auto f = SplitWs(line);
+    if (f.empty() || f[0][0] == '#') continue;
     const std::string where = " at line " + std::to_string(line_no);
 
     if (f[0] == "tuple") {
@@ -144,7 +122,7 @@ Result<Exemplar> ExemplarText::Parse(const std::string& text, Schema* schema) {
                                        where);
       }
       CmpOp op;
-      if (!ParseCmp(f[2], &op)) {
+      if (!ParseCmpOp(f[2], &op)) {
         return Status::InvalidArgument("bad comparison operator" + where);
       }
       VarRef rhs;

@@ -21,7 +21,9 @@ namespace wqe {
 /// Cell syntax: `attr=<number>` or `attr=str:<text>` for constants,
 /// `attr=?` for a variable/wildcard cell. Constraint syntax:
 /// `where t<i>.<attr> <op> (t<j>.<attr> | <number> | str:<text>)`.
-/// Attribute names and string constants are interned into `schema`.
+/// Attribute names and string constants are interned into `schema`. Blank
+/// lines and lines starting with '#' are skipped; Parse never throws, and a
+/// malformed record or number is InvalidArgument.
 class ExemplarText {
  public:
   static std::string ToText(const Exemplar& e, const Schema& schema);

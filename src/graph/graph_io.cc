@@ -1,10 +1,10 @@
 #include "graph/graph_io.h"
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "common/text_parse.h"
 
 namespace wqe {
 
@@ -23,19 +23,6 @@ std::vector<std::string_view> SplitTabs(std::string_view line) {
     start = tab + 1;
   }
   return fields;
-}
-
-bool ParseU32(std::string_view s, uint32_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseDouble(std::string_view s, double* out) {
-  // std::from_chars<double> is available in libstdc++ >= 11.
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  // Reject inf/nan: non-finite attribute values poison the cost model's
-  // range normalizers and the active-domain sort order.
-  return ec == std::errc() && ptr == s.data() + s.size() && std::isfinite(*out);
 }
 
 /// Tolerate files written on Windows: getline leaves the '\r' of a CRLF

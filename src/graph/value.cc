@@ -18,7 +18,7 @@ std::string Value::ToString(const Interner& strings) const {
         return buf;
       }
       // Shortest representation that round-trips: the text formats
-      // (QueryText/ExemplarText) parse these back with stod, and the
+      // (QueryText/ExemplarText) parse these back with from_chars, and the
       // replayed question must fingerprint identically to the original.
       char buf[64];
       for (int prec = 6; prec <= 17; ++prec) {

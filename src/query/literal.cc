@@ -20,6 +20,16 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
+bool ParseCmpOp(std::string_view s, CmpOp* op) {
+  for (CmpOp c : {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq, CmpOp::kGe, CmpOp::kGt}) {
+    if (s == CmpOpName(c)) {
+      *op = c;
+      return true;
+    }
+  }
+  return false;
+}
+
 bool EvalCmp(const Value& lhs, CmpOp op, const Value& rhs) {
   if (lhs.is_num() && rhs.is_num()) {
     const double a = lhs.num(), b = rhs.num();

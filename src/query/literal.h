@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 #include "graph/schema.h"
@@ -15,6 +16,9 @@ enum class CmpOp : uint8_t { kLt, kLe, kEq, kGe, kGt };
 
 /// Renders "<", "<=", "=", ">=", ">".
 const char* CmpOpName(CmpOp op);
+
+/// Inverse of CmpOpName; false for any other token.
+bool ParseCmpOp(std::string_view s, CmpOp* op);
 
 /// Evaluates `lhs op rhs` for two concrete values. Numeric pairs compare
 /// numerically; categorical pairs support only equality (ordered operators

@@ -1,32 +1,11 @@
 #include "query/query_text.h"
 
-#include <charconv>
 #include <sstream>
 #include <vector>
 
+#include "common/text_parse.h"
+
 namespace wqe {
-
-namespace {
-
-std::vector<std::string> SplitWs(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) out.push_back(tok);
-  return out;
-}
-
-bool ParseCmp(const std::string& s, CmpOp* op) {
-  if (s == "<") *op = CmpOp::kLt;
-  else if (s == "<=") *op = CmpOp::kLe;
-  else if (s == "=") *op = CmpOp::kEq;
-  else if (s == ">=") *op = CmpOp::kGe;
-  else if (s == ">") *op = CmpOp::kGt;
-  else return false;
-  return true;
-}
-
-}  // namespace
 
 std::string QueryText::ToText(const PatternQuery& q, const Schema& schema) {
   std::ostringstream out;
@@ -66,31 +45,38 @@ Result<PatternQuery> QueryText::Parse(const std::string& text, Schema* schema) {
   size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    auto f = SplitWs(line);
+    const auto f = SplitWs(line);
+    if (f.empty() || f[0][0] == '#') continue;
     const std::string where = " at line " + std::to_string(line_no);
+    auto bad_number = [&](const std::string& token) {
+      return Status::InvalidArgument("bad number '" + token + "'" + where);
+    };
     if (f[0] == "focus" && f.size() == 2) {
-      focus = static_cast<QNodeId>(std::stoul(f[1]));
+      if (!ParseU32(f[1], &focus)) return bad_number(f[1]);
     } else if (f[0] == "node" && f.size() >= 3) {
-      QNodeId idx = static_cast<QNodeId>(std::stoul(f[1]));
+      QNodeId idx = 0;
+      if (!ParseU32(f[1], &idx)) return bad_number(f[1]);
       if (idx != q.num_nodes()) {
         return Status::InvalidArgument("node ids must be sequential" + where);
       }
       q.AddNode(f[2] == "_" ? kWildcardSymbol : schema->InternLabel(f[2]));
     } else if (f[0] == "lit" && f.size() >= 5) {
-      QNodeId idx = static_cast<QNodeId>(std::stoul(f[1]));
+      QNodeId idx = 0;
+      if (!ParseU32(f[1], &idx)) return bad_number(f[1]);
       if (idx >= q.num_nodes()) {
         return Status::InvalidArgument("lit references unknown node" + where);
       }
       Literal lit;
       lit.attr = schema->InternAttr(f[2]);
-      if (!ParseCmp(f[3], &lit.op)) {
+      if (!ParseCmpOp(f[3], &lit.op)) {
         return Status::InvalidArgument("bad comparison operator" + where);
       }
       if (f[4] == "any") {
         lit.constant = Value::Null();
       } else if (f[4] == "num" && f.size() >= 6) {
-        lit.constant = Value::Num(std::stod(f[5]));
+        double num = 0;
+        if (!ParseDouble(f[5], &num)) return bad_number(f[5]);
+        lit.constant = Value::Num(num);
       } else if (f[4] == "str" && f.size() >= 6) {
         lit.constant = schema->InternStr(f[5]);
       } else {
@@ -98,9 +84,11 @@ Result<PatternQuery> QueryText::Parse(const std::string& text, Schema* schema) {
       }
       q.AddLiteral(idx, lit);
     } else if (f[0] == "edge" && f.size() >= 4) {
-      QNodeId from = static_cast<QNodeId>(std::stoul(f[1]));
-      QNodeId to = static_cast<QNodeId>(std::stoul(f[2]));
-      uint32_t bound = static_cast<uint32_t>(std::stoul(f[3]));
+      QNodeId from = 0, to = 0;
+      uint32_t bound = 0;
+      if (!ParseU32(f[1], &from)) return bad_number(f[1]);
+      if (!ParseU32(f[2], &to)) return bad_number(f[2]);
+      if (!ParseU32(f[3], &bound)) return bad_number(f[3]);
       if (!q.AddEdge(from, to, bound)) {
         return Status::InvalidArgument("bad edge" + where);
       }

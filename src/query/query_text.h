@@ -18,6 +18,10 @@ namespace wqe {
 ///   node <idx> <label>             ("_" for the wildcard label ⊥)
 ///   lit <idx> <attr> <op> (num <c> | str <c> | any)
 ///   edge <from> <to> <bound>
+///
+/// Blank lines and lines starting with '#' are skipped. Parse never throws:
+/// a malformed record or number (ids and bounds are unsigned 32-bit decimal,
+/// constants finite doubles) is InvalidArgument.
 class QueryText {
  public:
   static std::string ToText(const PatternQuery& q, const Schema& schema);

@@ -1,8 +1,7 @@
-#include "chase/ans_heu.h"
+#include "chase/solve.h"
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -17,7 +16,8 @@ ChaseOptions DemoOptions(size_t beam) {
 
 TEST(AnsHeuTest, FindsSatisfyingRewriteOnDemo) {
   ProductDemo demo;
-  ChaseResult r = AnsHeu(demo.graph(), demo.Question(), DemoOptions(3));
+  ChaseResult r = Execute(demo.graph(), {demo.Question(), DemoOptions(3),
+                                         Algorithm::kAnsHeu}).result;
   ASSERT_TRUE(r.found());
   EXPECT_TRUE(r.best().satisfies_exemplar);
   EXPECT_GT(r.best().closeness, 0.0);
@@ -26,10 +26,12 @@ TEST(AnsHeuTest, FindsSatisfyingRewriteOnDemo) {
 TEST(AnsHeuTest, NeverBeatsExactAnsW) {
   ProductDemo demo;
   const double exact =
-      AnsW(demo.graph(), demo.Question(), DemoOptions(1)).best().closeness;
+      Execute(demo.graph(), {demo.Question(), DemoOptions(1),
+                             Algorithm::kAnsW}).result.best().closeness;
   for (size_t beam : {1u, 2u, 4u}) {
     const double heu =
-        AnsHeu(demo.graph(), demo.Question(), DemoOptions(beam)).best().closeness;
+        Execute(demo.graph(), {demo.Question(), DemoOptions(beam),
+                               Algorithm::kAnsHeu}).result.best().closeness;
     EXPECT_LE(heu, exact + 1e-9) << "beam " << beam;
   }
 }
@@ -38,7 +40,8 @@ TEST(AnsHeuTest, WiderBeamNeverLosesOnDemo) {
   ProductDemo demo;
   double prev = -1e18;
   for (size_t beam : {1u, 2u, 3u, 5u}) {
-    ChaseResult r = AnsHeu(demo.graph(), demo.Question(), DemoOptions(beam));
+    ChaseResult r = Execute(demo.graph(), {demo.Question(), DemoOptions(beam),
+                                           Algorithm::kAnsHeu}).result;
     ASSERT_TRUE(r.found());
     EXPECT_GE(r.best().closeness + 1e-9, prev) << "beam " << beam;
     prev = r.best().closeness;
@@ -47,7 +50,8 @@ TEST(AnsHeuTest, WiderBeamNeverLosesOnDemo) {
 
 TEST(AnsHeuTest, BudgetRespected) {
   ProductDemo demo;
-  ChaseResult r = AnsHeu(demo.graph(), demo.Question(), DemoOptions(3));
+  ChaseResult r = Execute(demo.graph(), {demo.Question(), DemoOptions(3),
+                                         Algorithm::kAnsHeu}).result;
   EXPECT_LE(r.best().cost, 4.0 + 1e-9);
 }
 
@@ -56,7 +60,8 @@ TEST(AnsHeuTest, RandomVariantStillProducesAnswers) {
   ChaseOptions opts = DemoOptions(3);
   opts.random_ops = true;
   opts.seed = 17;
-  ChaseResult r = AnsHeu(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
   ASSERT_TRUE(r.found());
   // AnsHeuB explores the same op universe in random order; with beam 3 on
   // the tiny demo it still finds a satisfying rewrite.
@@ -68,8 +73,10 @@ TEST(AnsHeuTest, RandomVariantIsSeedDeterministic) {
   ChaseOptions opts = DemoOptions(2);
   opts.random_ops = true;
   opts.seed = 5;
-  ChaseResult a = AnsHeu(demo.graph(), demo.Question(), opts);
-  ChaseResult b = AnsHeu(demo.graph(), demo.Question(), opts);
+  ChaseResult a =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
+  ChaseResult b =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
   EXPECT_EQ(a.best().rewrite.Fingerprint(), b.best().rewrite.Fingerprint());
 }
 
@@ -77,13 +84,15 @@ TEST(AnsHeuTest, DeadlineHonored) {
   ProductDemo demo;
   ChaseOptions opts = DemoOptions(3);
   opts.deadline = Deadline::After(0.0);
-  ChaseResult r = AnsHeu(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
   ASSERT_TRUE(r.found());  // anytime fallback
 }
 
 TEST(AnsHeuTest, RewritesAreNormalForm) {
   ProductDemo demo;
-  ChaseResult r = AnsHeu(demo.graph(), demo.Question(), DemoOptions(3));
+  ChaseResult r = Execute(demo.graph(), {demo.Question(), DemoOptions(3),
+                                         Algorithm::kAnsHeu}).result;
   EXPECT_TRUE(r.best().ops.IsNormalForm());
 }
 

@@ -1,4 +1,4 @@
-#include "chase/answe.h"
+#include "chase/solve.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ TEST(AnsWETest, RepairsEmptyAnswer) {
   ChaseContext probe(demo.graph(), w, opts);
   ASSERT_TRUE(probe.root()->matches.empty());
 
-  ChaseResult r = AnsWE(demo.graph(), w, opts);
+  ChaseResult r = Execute(demo.graph(), {w, opts, Algorithm::kAnsWE}).result;
   ASSERT_TRUE(r.found());
   EXPECT_FALSE(r.best().matches.empty());
   // At least one relevant entity recovered.
@@ -44,7 +44,8 @@ TEST(AnsWETest, UsesOnlyRemovalOperators) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 3;
-  ChaseResult r = AnsWE(demo.graph(), EmptyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {EmptyQuestion(demo), opts,
+                                         Algorithm::kAnsWE}).result;
   ASSERT_TRUE(r.found());
   EXPECT_FALSE(r.best().ops.empty());
   for (const Op& op : r.best().ops.ops()) {
@@ -57,7 +58,8 @@ TEST(AnsWETest, CostWithinBudget) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 3;
-  ChaseResult r = AnsWE(demo.graph(), EmptyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {EmptyQuestion(demo), opts,
+                                         Algorithm::kAnsWE}).result;
   EXPECT_LE(r.best().cost, 3.0 + 1e-9);
 }
 
@@ -65,7 +67,8 @@ TEST(AnsWETest, InsufficientBudgetReturnsOriginal) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 0.5;  // no removal affordable
-  ChaseResult r = AnsWE(demo.graph(), EmptyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {EmptyQuestion(demo), opts,
+                                         Algorithm::kAnsWE}).result;
   ASSERT_TRUE(r.found());
   EXPECT_TRUE(r.best().ops.empty());
   EXPECT_TRUE(r.best().matches.empty());
@@ -84,7 +87,7 @@ TEST(AnsWETest, MultipleBlockingConditions) {
   std::vector<NodeId> desired = {demo.p(3)};
   w.exemplar = Exemplar::FromEntities(g, desired);
 
-  ChaseResult r = AnsWE(g, w, opts);
+  ChaseResult r = Execute(g, {w, opts, Algorithm::kAnsWE}).result;
   ASSERT_TRUE(r.found());
   ASSERT_FALSE(r.best().matches.empty());
   EXPECT_TRUE(std::binary_search(r.best().matches.begin(),
@@ -96,7 +99,8 @@ TEST(AnsWETest, FastOnDemo) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 3;
-  ChaseResult r = AnsWE(demo.graph(), EmptyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {EmptyQuestion(demo), opts,
+                                         Algorithm::kAnsWE}).result;
   // The PTIME algorithm takes a handful of evaluations, not a search.
   EXPECT_LE(r.stats.steps, 20u);
 }

@@ -1,4 +1,4 @@
-#include "chase/apx_whym.h"
+#include "chase/solve.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,8 @@ TEST(ApxWhyMTest, RefinesAwayIrrelevantMatches) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 3;
-  ChaseResult r = ApxWhyM(demo.graph(), ManyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {ManyQuestion(demo), opts,
+                                         Algorithm::kApxWhyM}).result;
   ASSERT_TRUE(r.found());
   // All applied operators must be refinements.
   for (const Op& op : r.best().ops.ops()) {
@@ -37,7 +38,7 @@ TEST(ApxWhyMTest, ClosenessNeverDropsBelowOriginal) {
   WhyQuestion w = ManyQuestion(demo);
   ChaseContext probe(demo.graph(), w, opts);
   const double original = probe.root()->cl;
-  ChaseResult r = ApxWhyM(demo.graph(), w, opts);
+  ChaseResult r = Execute(demo.graph(), {w, opts, Algorithm::kApxWhyM}).result;
   EXPECT_GE(r.best().closeness + 1e-9, original);
 }
 
@@ -50,7 +51,7 @@ TEST(ApxWhyMTest, RemovesAtLeastOneIrrelevantMatchOnDemo) {
   const size_t im_before = probe.root()->rel.im.size();
   ASSERT_GT(im_before, 0u);
 
-  ChaseResult r = ApxWhyM(demo.graph(), w, opts);
+  ChaseResult r = Execute(demo.graph(), {w, opts, Algorithm::kApxWhyM}).result;
   size_t im_after = 0;
   for (NodeId v : r.best().matches) {
     if (!probe.rep().Contains(v)) ++im_after;
@@ -62,7 +63,8 @@ TEST(ApxWhyMTest, ZeroBudgetReturnsOriginal) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 0.5;  // below any operator cost
-  ChaseResult r = ApxWhyM(demo.graph(), ManyQuestion(demo), opts);
+  ChaseResult r = Execute(demo.graph(), {ManyQuestion(demo), opts,
+                                         Algorithm::kApxWhyM}).result;
   ASSERT_TRUE(r.found());
   EXPECT_TRUE(r.best().ops.empty());
 }
@@ -75,7 +77,7 @@ TEST(ApxWhyMTest, NoIrrelevantMatchesMeansNoOps) {
   w.exemplar = Exemplar::FromEntities(demo.graph(), all);
   ChaseOptions opts;
   opts.budget = 3;
-  ChaseResult r = ApxWhyM(demo.graph(), w, opts);
+  ChaseResult r = Execute(demo.graph(), {w, opts, Algorithm::kApxWhyM}).result;
   ASSERT_TRUE(r.found());
   EXPECT_TRUE(r.best().ops.empty());
 }

@@ -7,9 +7,9 @@
 
 #include <optional>
 
-#include "chase/answ.h"
 #include "chase/delta_eval.h"
 #include "chase/next_op.h"
+#include "chase/solve.h"
 #include "common/rng.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"
+#include "chase/solve.h"
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -143,7 +143,8 @@ TEST_F(ChaseFixture, AnsWMatchesExhaustiveSearch) {
   ChaseOptions opts = opts_;
   opts.use_pruning = true;
   opts.use_cache = true;
-  ChaseResult answ = AnsW(demo_.graph(), demo_.Question(), opts);
+  ChaseResult answ =
+      Execute(demo_.graph(), {demo_.Question(), opts, Algorithm::kAnsW}).result;
   ASSERT_TRUE(answ.found());
   EXPECT_NEAR(answ.best().closeness, exhaustive.best_closeness, 1e-9);
 }

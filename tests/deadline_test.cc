@@ -20,7 +20,8 @@ TEST(DeadlineTest, ExpiredDeadlineStillYieldsRootAnswer) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.time_limit_seconds = 1e-9;  // expired before the first solver step
-  ChaseResult r = Solve(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.termination(), TerminationReason::kDeadline);
   // Anytime contract: the root rewrite (the original question) survives.
@@ -33,7 +34,8 @@ TEST(DeadlineTest, GenerousDeadlineDoesNotFire) {
   ChaseOptions opts;
   opts.time_limit_seconds = 60.0;
   opts.max_steps = 50;
-  ChaseResult r = Solve(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.termination(), TerminationReason::kDeadline);
 }
@@ -63,7 +65,7 @@ TEST(DeadlineTest, OvershootIsBoundedOnLargeGraph) {
   opts.max_steps = 1000000;  // deadline, not the step cap, must stop us
   for (const BenchCase& c : cases) {
     Timer timer;
-    ChaseResult r = Solve(g, c.question, opts);
+    ChaseResult r = Execute(g, {c.question, opts, Algorithm::kAnsW}).result;
     const double elapsed = timer.ElapsedSeconds();
     ASSERT_TRUE(r.ok());
     // Generous ceiling (40x the limit) so slow CI machines pass, yet far
@@ -84,7 +86,8 @@ TEST(DeadlineTest, HeuristicSolverReportsDeadline) {
   ChaseOptions opts;
   opts.time_limit_seconds = 1e-9;
   opts.beam = 2;
-  ChaseResult r = Solve(g, cases[0].question, opts, Algorithm::kAnsHeu);
+  ChaseResult r =
+      Execute(g, {cases[0].question, opts, Algorithm::kAnsHeu}).result;
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.termination(), TerminationReason::kDeadline);
   EXPECT_TRUE(r.found());

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"
+#include "chase/solve.h"
 #include "gen/product_demo.h"
 
 namespace wqe {

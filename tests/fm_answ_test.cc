@@ -1,8 +1,7 @@
-#include "chase/fm_answ.h"
+#include "chase/solve.h"
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -12,7 +11,8 @@ TEST(FMAnsWTest, ProducesAnAnswerOnDemo) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 4;
-  ChaseResult r = FMAnsW(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kFMAnsW}).result;
   ASSERT_TRUE(r.found());
   EXPECT_GE(r.best().closeness, 0.0);
 }
@@ -22,9 +22,11 @@ TEST(FMAnsWTest, NeverBeatsAnsW) {
   ChaseOptions opts;
   opts.budget = 4;
   const double exact =
-      AnsW(demo.graph(), demo.Question(), opts).best().closeness;
+      Execute(demo.graph(), {demo.Question(), opts,
+                             Algorithm::kAnsW}).result.best().closeness;
   const double baseline =
-      FMAnsW(demo.graph(), demo.Question(), opts).best().closeness;
+      Execute(demo.graph(), {demo.Question(), opts,
+                             Algorithm::kFMAnsW}).result.best().closeness;
   EXPECT_LE(baseline, exact + 1e-9);
 }
 
@@ -32,7 +34,8 @@ TEST(FMAnsWTest, MinedQueryIsFocusStar) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 4;
-  ChaseResult r = FMAnsW(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kFMAnsW}).result;
   const PatternQuery& q = r.best().rewrite;
   // Suggested rewrites are stars around the focus (or the original query).
   const QueryShape shape = q.Shape();
@@ -44,7 +47,8 @@ TEST(FMAnsWTest, RespectsBudget) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 2;
-  ChaseResult r = FMAnsW(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kFMAnsW}).result;
   EXPECT_LE(r.best().cost, 2.0 + 1e-9);
 }
 
@@ -52,7 +56,8 @@ TEST(FMAnsWTest, StepsReflectEnumerationEffort) {
   ProductDemo demo;
   ChaseOptions opts;
   opts.budget = 4;
-  ChaseResult r = FMAnsW(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kFMAnsW}).result;
   EXPECT_GT(r.stats.steps, 0u);
 }
 

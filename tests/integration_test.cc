@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/ans_heu.h"
-#include "chase/answ.h"
+#include "chase/solve.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "workload/suite.h"
@@ -37,7 +36,7 @@ TEST_F(IntegrationFixture, CasesGenerated) { ASSERT_GE(cases_.size(), 2u); }
 
 TEST_F(IntegrationFixture, AnsWProducesValidAnswersOnSynthetic) {
   for (const BenchCase& c : cases_) {
-    ChaseResult r = AnsW(g_, c.question, Base());
+    ChaseResult r = Execute(g_, {c.question, Base(), Algorithm::kAnsW}).result;
     ASSERT_TRUE(r.found());
     EXPECT_LE(r.best().cost, 3.0 + 1e-9);
     EXPECT_TRUE(r.best().ops.IsNormalForm());
@@ -51,10 +50,14 @@ TEST_F(IntegrationFixture, AnsWProducesValidAnswersOnSynthetic) {
 
 TEST_F(IntegrationFixture, ExactDominatesHeuristicAndBaseline) {
   for (const BenchCase& c : cases_) {
-    const double exact = AnsW(g_, c.question, Base()).best().closeness;
+    const double exact = Execute(g_, {c.question, Base(), Algorithm::kAnsW})
+                             .result.best()
+                             .closeness;
     ChaseOptions heu_opts = Base();
     heu_opts.beam = 2;
-    const double heu = AnsHeu(g_, c.question, heu_opts).best().closeness;
+    const double heu = Execute(g_, {c.question, heu_opts, Algorithm::kAnsHeu})
+                           .result.best()
+                           .closeness;
     EXPECT_LE(heu, exact + 1e-9);
   }
 }
@@ -69,9 +72,12 @@ TEST_F(IntegrationFixture, AblationsAgreeOnBestCloseness) {
     nb.use_cache = false;
     nb.use_pruning = false;
 
-    const double full = AnsW(g_, c.question, base).best().closeness;
-    const double no_cache = AnsW(g_, c.question, nc).best().closeness;
-    const double no_prune = AnsW(g_, c.question, nb).best().closeness;
+    const double full = Execute(g_, {c.question, base,
+                                     Algorithm::kAnsW}).result.best().closeness;
+    const double no_cache =
+        Execute(g_, {c.question, nc, Algorithm::kAnsW}).result.best().closeness;
+    const double no_prune =
+        Execute(g_, {c.question, nb, Algorithm::kAnsW}).result.best().closeness;
     EXPECT_NEAR(full, no_cache, 1e-9);
     EXPECT_NEAR(full, no_prune, 1e-9);
   }
@@ -82,7 +88,7 @@ TEST_F(IntegrationFixture, RecoversGroundTruthAnswersReasonably) {
   // the ground-truth answers substantially on average.
   Aggregate delta;
   for (const BenchCase& c : cases_) {
-    ChaseResult r = AnsW(g_, c.question, Base());
+    ChaseResult r = Execute(g_, {c.question, Base(), Algorithm::kAnsW}).result;
     delta.Add(AnswerJaccard(r.best().matches, c.gt_answer));
   }
   EXPECT_GT(delta.Mean(), 0.3);
@@ -114,7 +120,8 @@ TEST_F(IntegrationFixture, WorksOnAllDatasetPresets) {
     base.budget = 2;
     base.max_steps = 500;
     base.beam = 2;
-    ChaseResult r = AnsHeu(g, cases[0].question, base);
+    ChaseResult r =
+        Execute(g, {cases[0].question, base, Algorithm::kAnsHeu}).result;
     EXPECT_TRUE(r.found()) << spec.name;
   }
 }

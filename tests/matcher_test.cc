@@ -221,12 +221,12 @@ TEST(MatchPipelineParityTest, EveryAlgorithmIdenticalPipelineOnOff) {
         Algorithm::kFMAnsW, Algorithm::kApxWhyM}) {
     for (const BenchCase& c : cases) {
       const ChaseResult interp =
-          Solve(g, c.question, ParityOptions(false, 1), algo);
+          Execute(g, {c.question, ParityOptions(false, 1), algo}).result;
       ASSERT_TRUE(interp.ok()) << AlgorithmName(algo);
       const std::string want = ResultFingerprint(interp);
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         const ChaseResult piped =
-            Solve(g, c.question, ParityOptions(true, threads), algo);
+            Execute(g, {c.question, ParityOptions(true, threads), algo}).result;
         ASSERT_TRUE(piped.ok()) << AlgorithmName(algo);
         EXPECT_EQ(want, ResultFingerprint(piped))
             << AlgorithmName(algo) << " threads=" << threads;

@@ -86,7 +86,8 @@ TEST_F(MultiFocusFixture, SingleFocusDegeneratesToAnsWCloseness) {
   w.exemplars = {demo_.MakeExemplar()};
   MultiFocusResult multi = AnsWMultiFocus(demo_.graph(), w, Opts());
 
-  ChaseResult single = AnsW(demo_.graph(), demo_.Question(), Opts());
+  ChaseResult single = Execute(demo_.graph(), {demo_.Question(), Opts(),
+                                               Algorithm::kAnsW}).result;
   ASSERT_TRUE(multi.found());
   ASSERT_TRUE(single.found());
   EXPECT_NEAR(multi.best().total_closeness, single.best().closeness, 1e-9);

@@ -343,7 +343,8 @@ TEST_P(ObservedSolve, CountersAgreeWithStats) {
   opts.budget = 4;
   opts.num_threads = GetParam();
   opts.observability = &o;
-  ChaseResult result = Solve(demo.graph(), demo.Question(), opts);
+  ChaseResult result =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   ASSERT_TRUE(result.found());
   EXPECT_EQ(o.metrics.counter("chase.steps").Value(), result.stats.steps);
   EXPECT_EQ(o.metrics.counter("chase.evaluations").Value(),

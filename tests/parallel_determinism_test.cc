@@ -9,7 +9,6 @@
 
 #include <sstream>
 
-#include "chase/answ.h"
 #include "chase/multi_focus.h"
 #include "chase/solve.h"
 #include "chase/why_not.h"
@@ -123,8 +122,10 @@ TEST(ParallelDeterminismTest, EveryAlgorithmIdenticalAcrossThreadCounts) {
        {Algorithm::kAnsW, Algorithm::kAnsWE, Algorithm::kAnsHeu,
         Algorithm::kFMAnsW, Algorithm::kApxWhyM}) {
     for (const BenchCase& c : cases) {
-      ChaseResult serial = Solve(g, c.question, BaseOptions(1), algo);
-      ChaseResult parallel = Solve(g, c.question, BaseOptions(4), algo);
+      ChaseResult serial =
+          Execute(g, {c.question, BaseOptions(1), algo}).result;
+      ChaseResult parallel =
+          Execute(g, {c.question, BaseOptions(4), algo}).result;
       ASSERT_TRUE(serial.ok() && parallel.ok()) << AlgorithmName(algo);
       EXPECT_EQ(ResultFingerprint(serial), ResultFingerprint(parallel))
           << AlgorithmName(algo);

@@ -256,7 +256,7 @@ TEST(QueryLogTest, LoadOfMissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), Status::Code::kNotFound);
 }
 
-// ---- end-to-end: Solve appends, and the explain output is deterministic ----
+// ---- end-to-end: solving appends, and explain output is deterministic ----
 
 TEST(QueryLogSolveTest, SolveWithContextAppendsOneRecordPerSolve) {
   const std::string path = TempPath("solve");

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"  // legacy wrapper, must stay equivalent
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -59,36 +58,14 @@ TEST(AlgorithmTest, FromStringIsCaseInsensitiveAndKnowsAliases) {
   EXPECT_FALSE(AlgorithmFromString("").has_value());
 }
 
-// The redesign's compatibility contract: Solve(..., kAnsW) and the legacy
-// AnsW() wrapper produce identical results, answer for answer.
-TEST(SolveTest, MatchesLegacyAnsWExactly) {
-  ProductDemo demo;
-  ChaseResult via_solve =
-      Solve(demo.graph(), demo.Question(), DemoOptions(), Algorithm::kAnsW);
-  ChaseResult via_legacy = AnsW(demo.graph(), demo.Question(), DemoOptions());
-
-  ASSERT_TRUE(via_solve.found());
-  ASSERT_EQ(via_solve.answers.size(), via_legacy.answers.size());
-  for (size_t i = 0; i < via_solve.answers.size(); ++i) {
-    const WhyAnswer& a = via_solve.answers[i];
-    const WhyAnswer& b = via_legacy.answers[i];
-    EXPECT_EQ(a.rewrite.Fingerprint(), b.rewrite.Fingerprint());
-    EXPECT_EQ(a.matches, b.matches);
-    EXPECT_EQ(a.closeness, b.closeness);
-    EXPECT_EQ(a.cost, b.cost);
-  }
-  EXPECT_EQ(via_solve.cl_star, via_legacy.cl_star);
-  EXPECT_EQ(via_solve.stats.steps, via_legacy.stats.steps);
-  EXPECT_EQ(via_solve.stats.evaluations, via_legacy.stats.evaluations);
-  EXPECT_EQ(via_solve.termination(), via_legacy.termination());
-}
-
 TEST(SolveTest, DeterministicAcrossRuns) {
   ProductDemo demo;
   ChaseResult a =
-      Solve(demo.graph(), demo.Question(), DemoOptions(), Algorithm::kAnsW);
+      Execute(demo.graph(), {demo.Question(), DemoOptions(),
+                             Algorithm::kAnsW}).result;
   ChaseResult b =
-      Solve(demo.graph(), demo.Question(), DemoOptions(), Algorithm::kAnsW);
+      Execute(demo.graph(), {demo.Question(), DemoOptions(),
+                             Algorithm::kAnsW}).result;
   ASSERT_EQ(a.answers.size(), b.answers.size());
   for (size_t i = 0; i < a.answers.size(); ++i) {
     EXPECT_EQ(a.answers[i].rewrite.Fingerprint(),
@@ -99,9 +76,11 @@ TEST(SolveTest, DeterministicAcrossRuns) {
 
 TEST(SolveTest, DefaultAlgorithmIsAnsW) {
   ProductDemo demo;
-  ChaseResult implicit = Solve(demo.graph(), demo.Question(), DemoOptions());
+  ChaseResult implicit =
+      Execute(demo.graph(), {demo.Question(), DemoOptions()}).result;
   ChaseResult explicit_answ =
-      Solve(demo.graph(), demo.Question(), DemoOptions(), Algorithm::kAnsW);
+      Execute(demo.graph(), {demo.Question(), DemoOptions(),
+                             Algorithm::kAnsW}).result;
   ASSERT_TRUE(implicit.found());
   EXPECT_EQ(implicit.best().rewrite.Fingerprint(),
             explicit_answ.best().rewrite.Fingerprint());
@@ -111,28 +90,31 @@ TEST(SolveTest, DispatchesEveryAlgorithm) {
   ProductDemo demo;
   const ChaseOptions opts = DemoOptions(3.0);
 
-  ChaseResult answ = Solve(demo.graph(), demo.Question(), opts, Algorithm::kAnsW);
+  ChaseResult answ =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   EXPECT_TRUE(answ.ok());
   EXPECT_TRUE(answ.found());
 
   ChaseResult heu =
-      Solve(demo.graph(), demo.Question(), opts, Algorithm::kAnsHeu);
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
   EXPECT_TRUE(heu.ok());
   EXPECT_TRUE(heu.found());
 
   ChaseResult fm =
-      Solve(demo.graph(), demo.Question(), opts, Algorithm::kFMAnsW);
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kFMAnsW}).result;
   EXPECT_TRUE(fm.ok());
   EXPECT_TRUE(fm.found());
 
   ChaseResult we =
-      Solve(demo.graph(), EmptyQuestion(demo), opts, Algorithm::kAnsWE);
+      Execute(demo.graph(), {EmptyQuestion(demo), opts,
+                             Algorithm::kAnsWE}).result;
   EXPECT_TRUE(we.ok());
   EXPECT_TRUE(we.found());
   EXPECT_FALSE(we.best().matches.empty());
 
   ChaseResult wm =
-      Solve(demo.graph(), ManyQuestion(demo), opts, Algorithm::kApxWhyM);
+      Execute(demo.graph(), {ManyQuestion(demo), opts,
+                             Algorithm::kApxWhyM}).result;
   EXPECT_TRUE(wm.ok());
   EXPECT_TRUE(wm.found());
 }
@@ -143,9 +125,9 @@ TEST(SolveTest, EachRunReportsItsOwnPhaseBreakdown) {
   ChaseOptions opts = DemoOptions();
   opts.observability = &o;
   ChaseResult first =
-      Solve(demo.graph(), demo.Question(), opts, Algorithm::kAnsW);
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   ChaseResult second =
-      Solve(demo.graph(), demo.Question(), opts, Algorithm::kAnsHeu);
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsHeu}).result;
 
   // Phases are per run (DiffPhases against the shared tracer), so each
   // result names its own solve span and not the other's.
@@ -167,7 +149,8 @@ TEST(SolveTest, RejectsInvalidOptionsBeforeSearching) {
 
   ChaseOptions zero_topk = DemoOptions();
   zero_topk.top_k = 0;
-  ChaseResult r = Solve(demo.graph(), demo.Question(), zero_topk);
+  ChaseResult r = Execute(demo.graph(), {demo.Question(), zero_topk,
+                                         Algorithm::kAnsW}).result;
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.found());
   EXPECT_EQ(r.stats.steps, 0u);
@@ -175,20 +158,24 @@ TEST(SolveTest, RejectsInvalidOptionsBeforeSearching) {
 
   ChaseOptions bad_lambda = DemoOptions();
   bad_lambda.closeness.lambda = 1.5;
-  EXPECT_FALSE(Solve(demo.graph(), demo.Question(), bad_lambda).ok());
+  EXPECT_FALSE(Execute(demo.graph(), {demo.Question(), bad_lambda,
+                                      Algorithm::kAnsW}).result.ok());
 
   ChaseOptions bad_budget = DemoOptions();
   bad_budget.budget = -1;
-  EXPECT_FALSE(Solve(demo.graph(), demo.Question(), bad_budget).ok());
+  EXPECT_FALSE(Execute(demo.graph(), {demo.Question(), bad_budget,
+                                      Algorithm::kAnsW}).result.ok());
 
   ChaseOptions zero_beam = DemoOptions();
   zero_beam.beam = 0;
   EXPECT_FALSE(
-      Solve(demo.graph(), demo.Question(), zero_beam, Algorithm::kAnsHeu).ok());
+      Execute(demo.graph(), {demo.Question(), zero_beam,
+                             Algorithm::kAnsHeu}).result.ok());
 
   ChaseOptions zero_steps = DemoOptions();
   zero_steps.max_steps = 0;
-  EXPECT_FALSE(Solve(demo.graph(), demo.Question(), zero_steps).ok());
+  EXPECT_FALSE(Execute(demo.graph(), {demo.Question(), zero_steps,
+                                      Algorithm::kAnsW}).result.ok());
 }
 
 TEST(SolveTest, ValidOptionsPassValidate) {
@@ -200,14 +187,16 @@ TEST(SolveTest, StepCapReportsTermination) {
   ProductDemo demo;
   ChaseOptions opts = DemoOptions();
   opts.max_steps = 1;
-  ChaseResult r = Solve(demo.graph(), demo.Question(), opts);
+  ChaseResult r =
+      Execute(demo.graph(), {demo.Question(), opts, Algorithm::kAnsW}).result;
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.termination(), TerminationReason::kStepCap);
 }
 
 TEST(SolveTest, OptimalTerminationOnDemo) {
   ProductDemo demo;
-  ChaseResult r = Solve(demo.graph(), demo.Question(), DemoOptions());
+  ChaseResult r = Execute(demo.graph(), {demo.Question(), DemoOptions(),
+                                         Algorithm::kAnsW}).result;
   ASSERT_TRUE(r.found());
   EXPECT_EQ(r.termination(), TerminationReason::kOptimal);
   EXPECT_STREQ(TerminationReasonName(r.termination()), "optimal");

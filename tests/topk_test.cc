@@ -1,12 +1,11 @@
-#include "chase/ans_heu.h"
 // §6.2 top-k query suggestion: the extension must preserve the optimality
 // guarantee — the k best closenesses AnsW reports equal the k best among
 // all answers the exhaustive reference enumeration finds.
 
 #include <gtest/gtest.h>
 
-#include "chase/answ.h"
 #include "chase/chase.h"
+#include "chase/solve.h"
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -31,16 +30,19 @@ TEST_F(TopKFixture, TopOneEqualsExhaustiveOptimum) {
   ExhaustiveResult ref = ExhaustiveChase(ref_ctx, 4);
   ASSERT_TRUE(ref.found);
 
-  ChaseResult r = AnsW(demo_.graph(), demo_.Question(), Opts(1));
+  ChaseResult r = Execute(demo_.graph(), {demo_.Question(), Opts(1),
+                                          Algorithm::kAnsW}).result;
   EXPECT_NEAR(r.best().closeness, ref.best_closeness, 1e-9);
 }
 
 TEST_F(TopKFixture, TopKBestMatchesTopOneBest) {
   // The §6.2 pruning change must not cost the global optimum.
   const double top1 =
-      AnsW(demo_.graph(), demo_.Question(), Opts(1)).best().closeness;
+      Execute(demo_.graph(), {demo_.Question(), Opts(1),
+                              Algorithm::kAnsW}).result.best().closeness;
   for (size_t k : {2u, 3u, 5u}) {
-    ChaseResult r = AnsW(demo_.graph(), demo_.Question(), Opts(k));
+    ChaseResult r = Execute(demo_.graph(), {demo_.Question(), Opts(k),
+                                            Algorithm::kAnsW}).result;
     EXPECT_NEAR(r.best().closeness, top1, 1e-9) << "k=" << k;
   }
 }
@@ -48,7 +50,8 @@ TEST_F(TopKFixture, TopKBestMatchesTopOneBest) {
 TEST_F(TopKFixture, LargerKNeverShrinksTheList) {
   size_t prev = 0;
   for (size_t k : {1u, 2u, 3u, 5u}) {
-    ChaseResult r = AnsW(demo_.graph(), demo_.Question(), Opts(k));
+    ChaseResult r = Execute(demo_.graph(), {demo_.Question(), Opts(k),
+                                            Algorithm::kAnsW}).result;
     EXPECT_GE(r.answers.size(), std::min<size_t>(prev, k));
     EXPECT_LE(r.answers.size(), k);
     prev = r.answers.size();
@@ -56,7 +59,8 @@ TEST_F(TopKFixture, LargerKNeverShrinksTheList) {
 }
 
 TEST_F(TopKFixture, AllTopKAnswersSatisfyExemplar) {
-  ChaseResult r = AnsW(demo_.graph(), demo_.Question(), Opts(5));
+  ChaseResult r = Execute(demo_.graph(), {demo_.Question(), Opts(5),
+                                          Algorithm::kAnsW}).result;
   ASSERT_GE(r.answers.size(), 2u);
   for (const WhyAnswer& a : r.answers) {
     EXPECT_TRUE(a.satisfies_exemplar);
@@ -66,7 +70,8 @@ TEST_F(TopKFixture, AllTopKAnswersSatisfyExemplar) {
 TEST_F(TopKFixture, SecondBestIsTheNextClosenessLevel) {
   // On the demo the optimum is 1/2 ({P3,P4,P5}); the runner-up keeps two of
   // the three relevant phones (closeness 1/3) or trades one for a penalty.
-  ChaseResult r = AnsW(demo_.graph(), demo_.Question(), Opts(3));
+  ChaseResult r = Execute(demo_.graph(), {demo_.Question(), Opts(3),
+                                          Algorithm::kAnsW}).result;
   ASSERT_GE(r.answers.size(), 2u);
   EXPECT_NEAR(r.answers[0].closeness, 0.5, 1e-9);
   EXPECT_LT(r.answers[1].closeness, r.answers[0].closeness + 1e-12);
@@ -76,7 +81,8 @@ TEST_F(TopKFixture, SecondBestIsTheNextClosenessLevel) {
 TEST_F(TopKFixture, HeuristicTopKAlsoRanked) {
   ChaseOptions o = Opts(3);
   o.beam = 3;
-  ChaseResult r = AnsHeu(demo_.graph(), demo_.Question(), o);
+  ChaseResult r =
+      Execute(demo_.graph(), {demo_.Question(), o, Algorithm::kAnsHeu}).result;
   for (size_t i = 1; i < r.answers.size(); ++i) {
     EXPECT_GE(r.answers[i - 1].closeness + 1e-12, r.answers[i].closeness);
   }

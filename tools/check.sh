@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep for libwqe:
-#   1. a source lint keeping chase-loop concerns inside the engine;
+#   1. a source lint keeping chase-loop concerns inside the engine, and
+#      throwing std::sto* conversions out of the library;
 #   2. default (Release, -Werror) build + the whole ctest suite;
 #   3. the benchmark regression gate (quick mode, warm cache) against the
 #      committed BENCH_BASELINE.json, plus an injected-slowdown self-test
@@ -48,8 +49,8 @@ done
 # bundles must obtain match sets through ChaseContext::Evaluate (or the
 # DeltaEvaluator the engine installs), never by calling Matcher::Answer or
 # StarMatcher::Evaluate directly — a direct call bypasses the memo, the
-# delta path, and the evaluation stats, so its answers silently diverge
-# from what `use_delta_eval` toggling is tested against.
+# delta path, and the evaluation stats, so its work escapes the counters and
+# the oracle tests (delta_eval_test) that pin the engine's answers.
 for pattern in '\.Answer\(' 'star_matcher[_()]*\.Evaluate\('; do
   if hits=$(grep -rnE "$pattern" src/chase \
       --include='*.cc' --include='*.h' \
@@ -78,6 +79,15 @@ for pattern in 'IsCandidate\(' 'ComputeCandidates\(' 'AllCandidates\(' \
     LINT_FAIL=1
   fi
 done
+# The library reports bad external bytes (graph, query, exemplar and log
+# text) as a Status and never lets an exception escape: parse numbers with
+# std::from_chars (common/text_parse.h), not the throwing std::sto* family.
+if hits=$(grep -rnE 'std::sto[a-z]*\(' src --include='*.cc' --include='*.h'); then
+  echo "lint: throwing std::sto* conversion in src (use ParseU32 / ParseDouble"
+  echo "      from common/text_parse.h and return a Status):"
+  echo "$hits"
+  LINT_FAIL=1
+fi
 [ "$LINT_FAIL" -eq 0 ] || { echo "engine lint failed"; exit 1; }
 echo "engine lint clean"
 
