@@ -16,11 +16,11 @@ class DeadlineExceeded : public std::runtime_error {
   DeadlineExceeded() : std::runtime_error("wall-clock deadline exceeded") {}
 };
 
-/// How many inner-loop work items (candidate verifications, star-table rows)
-/// may pass between deadline checks. Bounds the overshoot past
-/// time_limit_seconds to a few dozen row builds / match checks instead of a
-/// whole materialization or verification pass; small enough that the
-/// steady_clock reads stay invisible next to the BFS work they gate.
+/// How many inner-loop work items (candidate verifications, star-table
+/// center sweeps) may pass between deadline checks. Bounds the overshoot
+/// past time_limit_seconds to a few dozen center sweeps / match checks
+/// instead of a whole materialization or verification pass; small enough
+/// that the steady_clock reads stay invisible next to the BFS work they gate.
 inline constexpr size_t kDeadlineCheckStride = 32;
 
 /// Monotonic stopwatch for measuring algorithm phases.

@@ -30,10 +30,10 @@ class ClosenessEvaluator {
   /// An empty tuple pattern scores 1 (matches anything vacuously).
   double ClNodeTuple(NodeId v, const TuplePattern& t) const;
 
-  /// vsim(v, t): cl(v, t) >= θ.
-  bool Vsim(NodeId v, const TuplePattern& t) const {
-    return ClNodeTuple(v, t) >= config_.theta;
-  }
+  /// vsim(v, t): cl(v, t) >= θ. Decided on an upper bound of cl(v, t)
+  /// first, which needs no edit distance; cl(v, t) is computed only when
+  /// the bound reaches θ.
+  bool Vsim(NodeId v, const TuplePattern& t) const;
 
   /// cl(v, ℰ) = max_{t ∈ 𝒯, v ~ t} cl(v, t); 0 when v matches no tuple.
   double ClNodeExemplar(NodeId v, const Exemplar& e) const;

@@ -1,5 +1,7 @@
 #include "exemplar/relevance.h"
 
+#include <algorithm>
+
 namespace wqe {
 
 const char* RelevanceName(Relevance r) {
@@ -17,25 +19,28 @@ const char* RelevanceName(Relevance r) {
 }
 
 Relevance RelevanceSets::StatusOf(NodeId v) const {
-  const bool is_match = match_set.count(v) > 0;
-  const bool is_rep = rep_set.count(v) > 0;
-  if (is_match) return is_rep ? Relevance::kRM : Relevance::kIM;
-  return is_rep ? Relevance::kRC : Relevance::kIC;
+  auto in = [v](const std::vector<NodeId>& set) {
+    return std::binary_search(set.begin(), set.end(), v);
+  };
+  if (in(rm)) return Relevance::kRM;
+  if (in(im)) return Relevance::kIM;
+  if (in(rc)) return Relevance::kRC;
+  return Relevance::kIC;
 }
 
 RelevanceSets Classify(std::span<const NodeId> candidates,
                        std::span<const NodeId> matches, const RepResult& rep) {
   RelevanceSets sets;
   sets.num_candidates = candidates.size();
-  sets.match_set.insert(matches.begin(), matches.end());
-  sets.rep_set.insert(rep.nodes.begin(), rep.nodes.end());
-
+  size_t m = 0, r = 0;
   for (NodeId v : candidates) {
-    const bool is_match = sets.match_set.count(v) > 0;
-    const bool is_rep = sets.rep_set.count(v) > 0;
+    while (m < matches.size() && matches[m] < v) ++m;
+    while (r < rep.nodes.size() && rep.nodes[r] < v) ++r;
+    const bool is_match = m < matches.size() && matches[m] == v;
+    const bool is_rep = r < rep.nodes.size() && rep.nodes[r] == v;
     if (is_match && is_rep) {
       sets.rm.push_back(v);
-      sets.rm_closeness_sum += rep.ClosenessOf(v);
+      sets.rm_closeness_sum += rep.closeness[r];
     } else if (is_match) {
       sets.im.push_back(v);
     } else if (is_rep) {

@@ -2,7 +2,6 @@
 #define WQE_EXEMPLAR_RELEVANCE_H_
 
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "exemplar/rep.h"
@@ -45,15 +44,15 @@ struct RelevanceSets {
     return rm_closeness_sum / static_cast<double>(num_candidates);
   }
 
+  /// The class of a candidate (binary search of rm, im and rc; kIC for
+  /// anything else).
   Relevance StatusOf(NodeId v) const;
-
-  /// Lookup structures filled by Classify.
-  std::unordered_set<NodeId> match_set;
-  std::unordered_set<NodeId> rep_set;
 };
 
 /// Classifies `candidates` (= V_{u_o}) against the answer `matches` (= Q(G))
-/// and the exemplar representation `rep`.
+/// and the exemplar representation `rep`, in one merge: `candidates` and
+/// `matches` must be ascending (rep.nodes is). Each class keeps candidate
+/// order, and rm_closeness_sum adds rep.closeness in that order.
 RelevanceSets Classify(std::span<const NodeId> candidates,
                        std::span<const NodeId> matches, const RepResult& rep);
 

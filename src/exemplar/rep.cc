@@ -19,11 +19,14 @@ bool FilterInPlace(std::vector<NodeId>& nodes, Pred pred) {
 
 }  // namespace
 
-bool RepResult::Contains(NodeId v) const { return index_.count(v) > 0; }
+bool RepResult::Contains(NodeId v) const {
+  return std::binary_search(nodes.begin(), nodes.end(), v);
+}
 
 double RepResult::ClosenessOf(NodeId v) const {
-  auto it = index_.find(v);
-  return it == index_.end() ? 0.0 : it->second;
+  auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
+  if (it == nodes.end() || *it != v) return 0.0;
+  return closeness[static_cast<size_t>(it - nodes.begin())];
 }
 
 TupleMatchSets ComputeVsimSets(const ClosenessEvaluator& closeness,
@@ -143,19 +146,24 @@ RepResult ComputeRepFromVsimSets(const ClosenessEvaluator& closeness,
       EnforceConstraints(closeness.graph(), e, result.per_tuple);
   if (!result.nontrivial) return result;
 
-  const size_t num_tuples = result.per_tuple.size();
-  for (size_t i = 0; i < num_tuples; ++i) {
+  // cl(v, ℰ) is the max over the tuples v still plays: gather every
+  // (node, tuple) pair's score, sort by node, keep each node's max.
+  std::vector<std::pair<NodeId, double>> scored;
+  for (size_t i = 0; i < result.per_tuple.size(); ++i) {
     for (NodeId v : result.per_tuple[i]) {
-      const double cl = closeness.ClNodeTuple(v, e.tuples()[i]);
-      auto [it, inserted] = result.index_.emplace(v, cl);
-      if (!inserted) it->second = std::max(it->second, cl);
+      scored.emplace_back(v, closeness.ClNodeTuple(v, e.tuples()[i]));
     }
   }
-  result.nodes.reserve(result.index_.size());
-  for (const auto& [v, cl] : result.index_) result.nodes.push_back(v);
-  std::sort(result.nodes.begin(), result.nodes.end());
-  result.closeness.reserve(result.nodes.size());
-  for (NodeId v : result.nodes) result.closeness.push_back(result.index_[v]);
+  std::sort(scored.begin(), scored.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [v, cl] : scored) {
+    if (!result.nodes.empty() && result.nodes.back() == v) {
+      result.closeness.back() = std::max(result.closeness.back(), cl);
+    } else {
+      result.nodes.push_back(v);
+      result.closeness.push_back(cl);
+    }
+  }
   return result;
 }
 

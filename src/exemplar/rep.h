@@ -2,7 +2,6 @@
 #define WQE_EXEMPLAR_REP_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "exemplar/closeness.h"
@@ -28,15 +27,10 @@ struct RepResult {
   /// to retain at least one match.
   bool nontrivial = false;
 
+  /// Membership by binary search of `nodes`.
   bool Contains(NodeId v) const;
   /// cl(v, ℰ) for a member, 0 otherwise.
   double ClosenessOf(NodeId v) const;
-
- private:
-  friend RepResult ComputeRepFromVsimSets(const ClosenessEvaluator&,
-                                          const Exemplar&,
-                                          std::vector<std::vector<NodeId>>);
-  std::unordered_map<NodeId, double> index_;
 };
 
 /// Per-tuple match sets (v, t_i) of an exemplar over some node set, indexed

@@ -2,6 +2,7 @@
 #define WQE_GRAPH_BFS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -27,7 +28,8 @@ class BoundedBfs {
   /// Visits every node w with dist(src, w) <= cap (following out-edges),
   /// invoking visit(w, dist) in BFS order. Includes src at distance 0. The
   /// visitor is a template parameter, so the per-node call inlines (these
-  /// sweeps feed the matcher's ball memo and star-table rows).
+  /// sweeps feed the matcher's ball memo and the star tables' spoke
+  /// occurrences).
   template <typename Visit>
   void Forward(NodeId src, uint32_t cap, Visit&& visit) {
     Sweep<true>(src, cap, visit);
@@ -39,17 +41,43 @@ class BoundedBfs {
     Sweep<false>(src, cap, visit);
   }
 
-  /// Visits every node within `cap` hops of src ignoring edge direction
-  /// (used for star-view augmented edges, whose label is an undirected
-  /// pattern distance).
+  /// Visits every node within `cap` hops of src ignoring edge direction.
   template <typename Visit>
-  void Undirected(NodeId src, uint32_t cap, Visit&& visit);
+  void Undirected(NodeId src, uint32_t cap, Visit&& visit) {
+    Undirected(std::span<const NodeId>(&src, 1), cap, visit);
+  }
+
+  /// Multi-source form: visits every node within `cap` undirected hops of
+  /// some source, with its distance to the nearest one (sources at 0). Star
+  /// tables sweep the augmented focus edge this way from all viable centers.
+  template <typename Visit>
+  void Undirected(std::span<const NodeId> srcs, uint32_t cap, Visit&& visit) {
+    UndirectedSweep(srcs, cap, [&](NodeId w, uint32_t d) {
+      visit(w, d);
+      return false;
+    });
+  }
+
+  /// Whether some node within `cap` undirected hops of src (src included)
+  /// satisfies pred; the sweep stops at the first one in BFS order (a star
+  /// table's per-center focus probe).
+  template <typename Pred>
+  bool UndirectedAny(NodeId src, uint32_t cap, Pred&& pred) {
+    return UndirectedSweep(std::span<const NodeId>(&src, 1), cap,
+                           [&](NodeId w, uint32_t) { return pred(w); });
+  }
 
   const Graph& graph() const { return g_; }
 
  private:
   template <bool kForward, typename Visit>
   void Sweep(NodeId src, uint32_t cap, Visit& visit);
+
+  /// Undirected BFS from every source at once; `visit(w, dist)` returns
+  /// true to stop the sweep, which then returns true.
+  template <typename Visit>
+  bool UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
+                       Visit&& visit);
 
   const Graph& g_;
   uint32_t epoch_ = 0;
@@ -83,18 +111,22 @@ void BoundedBfs::Sweep(NodeId src, uint32_t cap, Visit& visit) {
 }
 
 template <typename Visit>
-void BoundedBfs::Undirected(NodeId src, uint32_t cap, Visit&& visit) {
+bool BoundedBfs::UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
+                                 Visit&& visit) {
   ++epoch_;
   auto& mark = mark_fwd_;
   auto& dist = dist_fwd_;
   auto& queue = queue_fwd_;
   queue.clear();
-  queue.push_back(src);
-  mark[src] = epoch_;
-  dist[src] = 0;
+  for (NodeId src : srcs) {
+    if (mark[src] == epoch_) continue;
+    queue.push_back(src);
+    mark[src] = epoch_;
+    dist[src] = 0;
+  }
   for (size_t head = 0; head < queue.size(); ++head) {
     const NodeId x = queue[head];
-    visit(x, dist[x]);
+    if (visit(x, dist[x])) return true;
     if (dist[x] >= cap) continue;
     for (auto neighbors : {g_.out(x), g_.in(x)}) {
       for (NodeId y : neighbors) {
@@ -105,6 +137,7 @@ void BoundedBfs::Undirected(NodeId src, uint32_t cap, Visit&& visit) {
       }
     }
   }
+  return false;
 }
 
 }  // namespace wqe

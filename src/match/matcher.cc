@@ -147,9 +147,8 @@ Matcher::BallSpan Matcher::Ball(const PatternQuery& q, const MatchPlan& plan,
   match::ForEachFilteredBallNode(
       bfs_, anchor_match, step.anchor_bound,
       step.anchor_outgoing ? match::BallDir::kOut : match::BallDir::kIn,
-      /*include_center=*/false,
       [&](NodeId w) { return Admits(q, plan, step.node, w); },
-      [&](NodeId w, uint32_t) { ball_cells_.push_back(w); });
+      [&](NodeId w) { ball_cells_.push_back(w); });
   it->second = {static_cast<uint32_t>(begin),
                 static_cast<uint32_t>(ball_cells_.size() - begin)};
   return it->second;

@@ -10,47 +10,67 @@
 
 namespace wqe {
 
-const StarRow* StarTable::RowOfCenter(NodeId v) const {
-  auto it = row_of_center_.find(v);
-  return it == row_of_center_.end() ? nullptr : &rows_[it->second];
+/// One execution slot's accumulators for a table build: the spoke matches of
+/// the center being swept (spoke after spoke), and the matches per spoke of
+/// every viable center this slot has swept so far.
+struct StarMaterializer::SpokeHits {
+  explicit SpokeHits(size_t num_spokes) : per_spoke(num_spokes) {}
+
+  std::vector<NodeId> row;
+  std::vector<size_t> ends;  // end of each spoke's segment of `row`
+  std::vector<std::vector<NodeId>> per_spoke;
+};
+
+namespace {
+
+void SortUnique(std::vector<NodeId>& nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
 }
 
-bool StarMaterializer::BuildRow(const PatternQuery& q, const StarQuery& star,
-                                NodeId c, BoundedBfs& bfs,
-                                const match::QueryFilterPlans* plans,
-                                StarRow& row) const {
-  row.center = c;
-  row.spoke_matches.resize(star.spokes.size());
-  bool viable = true;
+}  // namespace
 
-  // Per-node candidate probe: the compiled filter when the pipeline is on
-  // (one merged tuple walk per visited node, no literal re-interpretation),
-  // the interpreted path otherwise. Same conjunction, same rows.
-  auto admits = [&](QNodeId u, NodeId w) {
-    return plans != nullptr ? plans->at(u).Admits(g_.view(), w)
-                            : IsCandidate(g_, q, u, w);
-  };
+bool StarMaterializer::Admits(const PatternQuery& q,
+                              const match::QueryFilterPlans* plans, QNodeId u,
+                              NodeId w) const {
+  return plans != nullptr ? plans->at(u).Admits(g_.view(), w)
+                          : IsCandidate(g_, q, u, w);
+}
 
-  for (size_t s = 0; s < star.spokes.size() && viable; ++s) {
-    const StarSpoke& spoke = star.spokes[s];
-    auto& cell = row.spoke_matches[s];
+bool StarMaterializer::SweepCenter(const PatternQuery& q, const StarQuery& star,
+                                   NodeId c, BoundedBfs& bfs,
+                                   const match::QueryFilterPlans* plans,
+                                   SpokeHits& hits) const {
+  // Spokes are swept per center: a spoke's occurrences are the matches in
+  // the ball of a *viable* center, excluding that center only. One sweep
+  // from all centers would see a center that lies in another's spoke ball at
+  // distance 0, and a center reached back through a cycle.
+  hits.row.clear();
+  hits.ends.clear();
+  for (const StarSpoke& spoke : star.spokes) {
+    const size_t begin = hits.row.size();
     match::ForEachFilteredBallNode(
         bfs, c, spoke.bound,
         spoke.outgoing ? match::BallDir::kOut : match::BallDir::kIn,
-        /*include_center=*/false,
-        [&](NodeId w) { return admits(spoke.other, w); },
-        [&](NodeId w, uint32_t d) { cell.push_back({w, d}); });
-    if (cell.empty()) viable = false;
+        [&](NodeId w) { return Admits(q, plans, spoke.other, w); },
+        [&](NodeId w) { hits.row.push_back(w); });
+    if (hits.row.size() == begin) return false;
+    hits.ends.push_back(hits.row.size());
   }
-  if (!viable) return false;
 
-  if (!star.contains_focus && star.aug_bound > 0) {
-    match::ForEachFilteredBallNode(
-        bfs, c, star.aug_bound, match::BallDir::kUndirected,
-        /*include_center=*/true,
-        [&](NodeId w) { return admits(q.focus(), w); },
-        [&](NodeId w, uint32_t d) { row.focus_matches.push_back({w, d}); });
-    if (row.focus_matches.empty()) return false;
+  const auto admits_focus = [&](NodeId w) {
+    return Admits(q, plans, q.focus(), w);
+  };
+  if (!star.contains_focus && star.aug_bound > 0 &&
+      !bfs.UndirectedAny(c, star.aug_bound, admits_focus)) {
+    return false;
+  }
+
+  size_t begin = 0;
+  for (size_t s = 0; s < hits.ends.size(); ++s) {
+    hits.per_spoke[s].insert(hits.per_spoke[s].end(), hits.row.begin() + begin,
+                             hits.row.begin() + hits.ends[s]);
+    begin = hits.ends[s];
   }
   return true;
 }
@@ -60,12 +80,12 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
     const match::QueryFilterPlans* plans) {
   auto table = std::make_shared<StarTable>(star, q.focus());
 
-  // Every row probe below shares one compiled filter set: the caller's
-  // memoized plans when provided, a local compilation otherwise (one per
-  // table build, amortized across all rows).
+  // Every probe below shares one compiled filter set: the caller's memoized
+  // plans when provided, a local compilation otherwise (one per table build,
+  // amortized across all centers).
   match::QueryFilterPlans local_plans;
   const match::QueryFilterPlans* plans_ptr = nullptr;
-  std::vector<NodeId> centers;
+  std::vector<NodeId> centers;  // ascending, on both paths
   uint64_t seeded = 0;
   if (use_pipeline_) {
     if (plans == nullptr) {
@@ -87,89 +107,72 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
     stats_->candidates_filtered += centers.size();
   }
 
-  // Rows are built per center candidate — the embarrassingly parallel part —
-  // into index-addressed slots, then assembled serially in center order so
-  // the table is identical for every thread count.
+  // Centers are swept independently — the embarrassingly parallel part. A
+  // viability flag per center index plus per-slot spoke accumulators (merged
+  // into sorted sets below) make the table identical for every thread
+  // count. Deadline checks ride the center loop at a fixed stride: one
+  // center is a few bounded BFS passes, so the overshoot past an armed
+  // deadline is at most kDeadlineCheckStride centers per participant, never
+  // a whole table. In the parallel path ParallelFor abandons the remaining
+  // blocks and rethrows the DeadlineExceeded on this thread; the half-built
+  // table is discarded here and never reaches the view cache.
   const size_t threads = ResolveThreads(num_threads_);
-  std::vector<StarRow> built(centers.size());
   std::vector<uint8_t> viable(centers.size(), 0);
-  // Deadline checks ride the row loop at a fixed stride: one row is a few
-  // bounded BFS passes, so the overshoot past an armed deadline is at most
-  // kDeadlineCheckStride rows per participant, never a whole table. In the
-  // parallel path ParallelFor abandons the remaining blocks and rethrows the
-  // DeadlineExceeded on this thread; the half-built table is discarded here
-  // and never reaches the view cache.
   if (threads <= 1 || centers.size() <= 1) {
+    SpokeHits hits(star.spokes.size());
     for (size_t i = 0; i < centers.size(); ++i) {
       MaybeThrowIfExpired(deadline_, i);
-      viable[i] =
-          BuildRow(q, star, centers[i], bfs_, plans_ptr, built[i]) ? 1 : 0;
+      viable[i] = SweepCenter(q, star, centers[i], bfs_, plans_ptr, hits);
     }
+    table->spoke_occ_ = std::move(hits.per_spoke);
   } else {
     PerThread<BoundedBfs> scratch(threads, [this] {
       return std::make_unique<BoundedBfs>(g_);
     });
+    const size_t num_spokes = star.spokes.size();
+    PerThread<SpokeHits> hits(threads, [num_spokes] {
+      return std::make_unique<SpokeHits>(num_spokes);
+    });
+    table->spoke_occ_.resize(num_spokes);
     ParallelFor(threads, 0, centers.size(), /*grain=*/16,
                 [&](size_t i, size_t slot) {
                   MaybeThrowIfExpired(deadline_, i);
                   BoundedBfs& bfs = slot == 0 ? bfs_ : scratch.at(slot);
-                  viable[i] =
-                      BuildRow(q, star, centers[i], bfs, plans_ptr, built[i])
-                          ? 1
-                          : 0;
+                  viable[i] = SweepCenter(q, star, centers[i], bfs, plans_ptr,
+                                          hits.at(slot));
                 });
+    for (size_t slot = 0; slot < threads; ++slot) {
+      const SpokeHits* h = hits.created(slot);
+      if (h == nullptr) continue;
+      for (size_t s = 0; s < num_spokes; ++s) {
+        table->spoke_occ_[s].insert(table->spoke_occ_[s].end(),
+                                    h->per_spoke[s].begin(),
+                                    h->per_spoke[s].end());
+      }
+    }
   }
-
+  for (auto& occ : table->spoke_occ_) SortUnique(occ);
   for (size_t i = 0; i < centers.size(); ++i) {
-    if (!viable[i]) continue;
-    StarRow& row = built[i];
-    table->row_of_center_.emplace(row.center, table->rows_.size());
-    table->entry_count_ += 1 + row.focus_matches.size();
-    for (const auto& cell : row.spoke_matches) table->entry_count_ += cell.size();
-    table->rows_.push_back(std::move(row));
+    if (viable[i]) table->center_occ_.push_back(centers[i]);
   }
 
-  // Occurrence sets per role (center, spoke index): tables must not refer
-  // to query node ids, which vary across the rewrites sharing this table.
-  auto sorted_unique = [](std::vector<NodeId> nodes) {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    return nodes;
-  };
-
-  {
-    std::vector<NodeId> centers_seen;
-    centers_seen.reserve(table->rows_.size());
-    for (const StarRow& row : table->rows_) centers_seen.push_back(row.center);
-    table->center_occ_ = sorted_unique(std::move(centers_seen));
-  }
-  table->spoke_occ_.resize(star.spokes.size());
-  for (size_t s = 0; s < star.spokes.size(); ++s) {
-    std::vector<NodeId> seen;
-    for (const StarRow& row : table->rows_) {
-      for (const SpokeMatch& m : row.spoke_matches[s]) seen.push_back(m.node);
-    }
-    table->spoke_occ_[s] = sorted_unique(std::move(seen));
-  }
-
-  // Focus occurrences: center itself, the focus spoke, or augmented matches.
-  std::vector<NodeId> focus_seen;
+  // Focus occurrences: the center itself, the focus spoke, or the focus
+  // candidates within the augmented bound of some viable center — one
+  // multi-source sweep from all of them, centers included.
   if (star.center == q.focus()) {
-    for (const StarRow& row : table->rows_) focus_seen.push_back(row.center);
+    table->focus_occ_ = table->center_occ_;
   } else if (star.focus_spoke >= 0) {
-    const size_t s = static_cast<size_t>(star.focus_spoke);
-    for (const StarRow& row : table->rows_) {
-      for (const SpokeMatch& m : row.spoke_matches[s]) focus_seen.push_back(m.node);
-    }
-  } else {
-    for (const StarRow& row : table->rows_) {
-      for (const SpokeMatch& m : row.focus_matches) focus_seen.push_back(m.node);
-    }
+    table->focus_occ_ = table->spoke_occ_[static_cast<size_t>(star.focus_spoke)];
+  } else if (!star.contains_focus && star.aug_bound > 0) {
+    auto& focus_occ = table->focus_occ_;
+    bfs_.Undirected(std::span<const NodeId>(table->center_occ_),
+                    star.aug_bound, [&](NodeId w, uint32_t) {
+                      if (Admits(q, plans_ptr, q.focus(), w)) {
+                        focus_occ.push_back(w);
+                      }
+                    });
+    std::sort(focus_occ.begin(), focus_occ.end());  // BFS order; no repeats
   }
-  std::sort(focus_seen.begin(), focus_seen.end());
-  focus_seen.erase(std::unique(focus_seen.begin(), focus_seen.end()),
-                   focus_seen.end());
-  table->focus_occ_ = std::move(focus_seen);
   table->RebuildFocusBits();
 
   return table;

@@ -26,6 +26,12 @@ namespace fs = std::filesystem;
 /// container format itself changing (e.g. a new diameter heuristic).
 constexpr uint64_t kBuilderRev = 1;
 
+/// The star-views file's own builder revision. Rev 2 stores each table as
+/// its role occurrence sets only (rev 1 also held per-center rows), so a
+/// rev-1 file fails the params check and is rebuilt, while bundle.wqes,
+/// keyed by kBuilderRev, stays valid.
+constexpr uint64_t kStarViewsRev = 2;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -240,7 +246,7 @@ Status ArtifactStore::SaveStarViews(const ViewCache& cache,
     std::string bytes;
     std::string_view payload;
     if (ReadFileBytes(ArtifactPath(ArtifactKind::kStarViews), &bytes).ok() &&
-        OpenFile(bytes, ArtifactKind::kStarViews, key_, kBuilderRev, &payload)
+        OpenFile(bytes, ArtifactKind::kStarViews, key_, kStarViewsRev, &payload)
             .ok()) {
       Reader r(payload);
       uint64_t count = 0;
@@ -286,14 +292,14 @@ Status ArtifactStore::SaveStarViews(const ViewCache& cache,
   head.U64(written);
   std::string payload = head.Take();
   payload += body.bytes();
-  return Save(ArtifactKind::kStarViews, kBuilderRev, std::move(payload));
+  return Save(ArtifactKind::kStarViews, kStarViewsRev, std::move(payload));
 }
 
 Status ArtifactStore::WarmStarViews(const Graph& g, ViewCache* cache) {
   const uint64_t t0 = NowNs();
   std::string bytes;
   std::string_view payload;
-  if (Status s = Load(ArtifactKind::kStarViews, kBuilderRev, &bytes, &payload);
+  if (Status s = Load(ArtifactKind::kStarViews, kStarViewsRev, &bytes, &payload);
       !s.ok()) {
     return s;
   }

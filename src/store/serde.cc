@@ -176,16 +176,9 @@ void Serde::EncodeStarTable(const StarTable& t, Writer& w) {
   w.U32(star.aug_bound);
   w.U32(t.focus_);
 
-  w.U64(t.rows_.size());
-  for (const StarRow& row : t.rows_) {
-    w.U32(row.center);
-    for (const auto& cell : row.spoke_matches) w.PodVec(cell);
-    w.PodVec(row.focus_matches);
-  }
   w.PodVec(t.focus_occ_);
   w.PodVec(t.center_occ_);
   for (const auto& occ : t.spoke_occ_) w.PodVec(occ);
-  w.U64(t.entry_count_);
 }
 
 Status Serde::DecodeStarTable(Reader& r, size_t num_nodes,
@@ -218,56 +211,23 @@ Status Serde::DecodeStarTable(Reader& r, size_t num_nodes,
   if (Status s = r.U32(&focus); !s.ok()) return s;
 
   auto table = std::make_shared<StarTable>(std::move(star), focus);
-  uint64_t num_rows = 0;
-  if (Status s = r.U64(&num_rows); !s.ok()) return s;
-  // Each row is at least its center id plus one length prefix per cell.
-  if (Status s =
-          r.CheckCount(num_rows, 4 + 8 * (static_cast<size_t>(num_spokes) + 1),
-                       "star rows");
-      !s.ok()) {
-    return s;
-  }
-  table->rows_.resize(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) {
-    StarRow& row = table->rows_[i];
-    if (Status s = r.U32(&row.center); !s.ok()) return s;
-    if (row.center >= num_nodes) return Corrupt("star row center");
-    row.spoke_matches.resize(num_spokes);
-    for (auto& cell : row.spoke_matches) {
-      if (Status s = r.PodVec(&cell); !s.ok()) return s;
-      for (const SpokeMatch& m : cell) {
-        if (m.node >= num_nodes) return Corrupt("spoke match node");
+  table->spoke_occ_.resize(num_spokes);
+  std::vector<std::vector<NodeId>*> sets = {&table->focus_occ_,
+                                            &table->center_occ_};
+  for (auto& occ : table->spoke_occ_) sets.push_back(&occ);
+  for (std::vector<NodeId>* occ : sets) {
+    if (Status s = r.PodVec(occ); !s.ok()) return s;
+    // Occurrence sets are probed by binary search: strictly ascending ids
+    // of this graph, or the payload is corrupt.
+    for (size_t i = 0; i < occ->size(); ++i) {
+      if ((*occ)[i] >= num_nodes || (i > 0 && (*occ)[i - 1] >= (*occ)[i])) {
+        return Corrupt("occurrence set");
       }
     }
-    if (Status s = r.PodVec(&row.focus_matches); !s.ok()) return s;
-    for (const SpokeMatch& m : row.focus_matches) {
-      if (m.node >= num_nodes) return Corrupt("focus match node");
-    }
-    if (!table->row_of_center_.emplace(row.center, i).second) {
-      return Corrupt("duplicate star row center");
-    }
   }
-  if (Status s = r.PodVec(&table->focus_occ_); !s.ok()) return s;
-  if (Status s = r.PodVec(&table->center_occ_); !s.ok()) return s;
-  table->spoke_occ_.resize(num_spokes);
-  for (auto& occ : table->spoke_occ_) {
-    if (Status s = r.PodVec(&occ); !s.ok()) return s;
-  }
-  for (const auto* occ :
-       {&table->focus_occ_, &table->center_occ_}) {
-    for (NodeId v : *occ) {
-      if (v >= num_nodes) return Corrupt("occurrence node");
-    }
-  }
-  for (const auto& occ : table->spoke_occ_) {
-    for (NodeId v : occ) {
-      if (v >= num_nodes) return Corrupt("occurrence node");
-    }
-  }
-  if (Status s = r.U64(&table->entry_count_); !s.ok()) return s;
   // The focus bitset is derived, never serialized: rebuild it so snapshot-
   // loaded tables answer ContainsFocusOccurrence exactly like heap-built
-  // ones (same wire format as before the bitset existed).
+  // ones.
   table->RebuildFocusBits();
   *out = std::move(table);
   return Status::OK();

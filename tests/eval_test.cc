@@ -238,5 +238,29 @@ TEST(ExactLiteralKeyTest, CloseConstantsKeepTheirOwnAnswersInOneContext) {
             (std::vector<NodeId>{s1, s2}));
 }
 
+// Classify merges V_{u_o} with sorted match sets, so the universe must be
+// ascending whether it is a label bucket or every node (wildcard focus).
+// Labels interleave here, so a bucket is not a contiguous id range.
+TEST(FocusUniverseTest, AscendingForLabelBucketAndWildcardFocus) {
+  Graph g;
+  for (int i = 0; i < 12; ++i) g.AddNode(i % 3 == 0 ? "A" : "B");
+  for (NodeId v = 0; v + 1 < 12; ++v) g.AddEdge(v, v + 1);
+  g.Finalize();
+  const LabelId a = g.schema().LookupLabel("A");
+  for (LabelId focus_label : {a, kWildcardSymbol}) {
+    WhyQuestion w;
+    const QNodeId focus = w.query.AddNode(focus_label);
+    w.query.AddEdge(focus, w.query.AddNode(kWildcardSymbol), 1);
+    w.query.SetFocus(focus);
+    const ChaseContext ctx(g, w, ChaseOptions());
+    const std::vector<NodeId>& universe = ctx.focus_universe();
+    EXPECT_EQ(universe.size(), focus_label == a ? 4u : g.num_nodes());
+    EXPECT_TRUE(std::adjacent_find(universe.begin(), universe.end(),
+                                   std::greater_equal<NodeId>()) ==
+                universe.end())
+        << "label=" << focus_label;
+  }
+}
+
 }  // namespace
 }  // namespace wqe

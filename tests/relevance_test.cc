@@ -1,8 +1,12 @@
 #include "exemplar/relevance.h"
-#include <span>
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "common/rng.h"
 #include "gen/product_demo.h"
 
 namespace wqe {
@@ -84,6 +88,80 @@ TEST_F(RelevanceFixture, EmptyMatchesAllCandidatesSplitRcIc) {
   EXPECT_EQ(sets.rc.size(), 3u);
   EXPECT_EQ(sets.ic.size(), 3u);
   EXPECT_DOUBLE_EQ(sets.AnswerCloseness(1.0), 0.0);
+}
+
+// The §2.2 split through hash sets, one probe per candidate: the reference
+// for the merge-based Classify.
+RelevanceSets ReferenceClassify(const std::vector<NodeId>& candidates,
+                                const std::vector<NodeId>& matches,
+                                const RepResult& rep) {
+  const std::unordered_set<NodeId> match_set(matches.begin(), matches.end());
+  std::unordered_map<NodeId, double> rep_cl;
+  for (size_t i = 0; i < rep.nodes.size(); ++i) {
+    rep_cl.emplace(rep.nodes[i], rep.closeness[i]);
+  }
+  RelevanceSets sets;
+  sets.num_candidates = candidates.size();
+  for (NodeId v : candidates) {
+    const bool is_match = match_set.count(v) > 0;
+    const auto rep_it = rep_cl.find(v);
+    const bool is_rep = rep_it != rep_cl.end();
+    if (is_match && is_rep) {
+      sets.rm.push_back(v);
+      sets.rm_closeness_sum += rep_it->second;
+    } else if (is_match) {
+      sets.im.push_back(v);
+    } else if (is_rep) {
+      sets.rc.push_back(v);
+    } else {
+      sets.ic.push_back(v);
+    }
+  }
+  return sets;
+}
+
+Relevance ReferenceStatus(NodeId v, const std::vector<NodeId>& matches,
+                          const RepResult& rep) {
+  const bool is_match =
+      std::find(matches.begin(), matches.end(), v) != matches.end();
+  const bool is_rep = rep.Contains(v);
+  if (is_match) return is_rep ? Relevance::kRM : Relevance::kIM;
+  return is_rep ? Relevance::kRC : Relevance::kIC;
+}
+
+TEST(ClassifyMergeTest, AgreesWithHashSetReferenceOnRandomSortedInputs) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Ascending inputs over a small id range. Matches and rep members mostly
+    // come from the universe, with a few ids outside it.
+    const NodeId range = static_cast<NodeId>(1 + rng.Index(120));
+    const double density = rng.Double(0, 1);
+    std::vector<NodeId> universe, matches;
+    RepResult rep;
+    for (NodeId v = 0; v < range; ++v) {
+      const bool in_universe = rng.Chance(density);
+      if (in_universe) universe.push_back(v);
+      const double p = in_universe ? rng.Double(0, 1) : 0.05;
+      if (rng.Chance(p)) matches.push_back(v);
+      if (rng.Chance(p)) {
+        rep.nodes.push_back(v);
+        rep.closeness.push_back(rng.Double(0, 1));
+      }
+    }
+    const RelevanceSets got = Classify(universe, matches, rep);
+    const RelevanceSets want = ReferenceClassify(universe, matches, rep);
+    ASSERT_EQ(got.rm, want.rm) << "trial=" << trial;
+    ASSERT_EQ(got.im, want.im) << "trial=" << trial;
+    ASSERT_EQ(got.rc, want.rc) << "trial=" << trial;
+    ASSERT_EQ(got.ic, want.ic) << "trial=" << trial;
+    ASSERT_EQ(got.num_candidates, want.num_candidates);
+    // Bit-equal, not just close: cl and cl⁺ must not move.
+    ASSERT_EQ(got.rm_closeness_sum, want.rm_closeness_sum) << "trial=" << trial;
+    for (NodeId v : universe) {
+      ASSERT_EQ(got.StatusOf(v), ReferenceStatus(v, matches, rep))
+          << "trial=" << trial << " v=" << v;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/rng.h"
+#include "gen/datasets.h"
 #include "gen/product_demo.h"
+#include "gen/synthetic.h"
+#include "match/candidates.h"
+#include "workload/query_gen.h"
 
 namespace wqe {
 namespace {
@@ -20,28 +28,31 @@ TEST_F(StarTableFixture, FocusStarRowsAreAnswerSuperset) {
   auto stars = DecomposeStars(q);
   ASSERT_EQ(stars.size(), 1u);
   auto table = materializer_.Materialize(q, stars[0]);
-  // Center = focus: rows must cover {P1, P2, P5} and may not include P3/P4
-  // (they fail the price literal so they are not center candidates).
-  EXPECT_NE(table->RowOfCenter(demo_.p(1)), nullptr);
-  EXPECT_NE(table->RowOfCenter(demo_.p(2)), nullptr);
-  EXPECT_NE(table->RowOfCenter(demo_.p(5)), nullptr);
-  EXPECT_EQ(table->RowOfCenter(demo_.p(3)), nullptr);
+  // Center = focus: the viable centers must cover {P1, P2, P5} and may not
+  // include P3/P4 (they fail the price literal so they are not candidates).
+  const auto& centers = table->center_occurrences();
+  for (int i : {1, 2, 5}) {
+    EXPECT_TRUE(std::binary_search(centers.begin(), centers.end(), demo_.p(i)))
+        << "P" << i;
+  }
+  EXPECT_FALSE(
+      std::binary_search(centers.begin(), centers.end(), demo_.p(3)));
 }
 
-TEST_F(StarTableFixture, SpokeMatchesCarryDistances) {
+TEST_F(StarTableFixture, SpokeOccurrencesHoldBallMatches) {
   PatternQuery q = demo_.Query();
   auto stars = DecomposeStars(q);
   auto table = materializer_.Materialize(q, stars[0]);
-  const StarRow* row = table->RowOfCenter(demo_.p(1));
-  ASSERT_NE(row, nullptr);
-  // Find the sensor spoke (bound 2): P1's sensor is at distance 2.
+  // The sensor spoke (bound 2): the one sensor lies within two hops.
+  bool found = false;
   for (size_t s = 0; s < stars[0].spokes.size(); ++s) {
     if (stars[0].spokes[s].other == 3) {
-      ASSERT_EQ(row->spoke_matches[s].size(), 1u);
-      EXPECT_EQ(row->spoke_matches[s][0].node, demo_.sensor());
-      EXPECT_EQ(row->spoke_matches[s][0].dist, 2u);
+      found = true;
+      EXPECT_EQ(table->spoke_occurrences(s),
+                std::vector<NodeId>{demo_.sensor()});
     }
   }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(StarTableFixture, FocusOccurrencesForFocusCenteredStar) {
@@ -64,7 +75,7 @@ TEST_F(StarTableFixture, NonViableCentersGetNoRow) {
   q.AddEdge(cell, missing, 1);
   auto stars = DecomposeStars(q);
   auto table = materializer_.Materialize(q, stars[0]);
-  EXPECT_EQ(table->num_rows(), 0u);
+  EXPECT_TRUE(table->center_occurrences().empty());
   EXPECT_TRUE(table->focus_occurrences().empty());
 }
 
@@ -84,10 +95,10 @@ TEST_F(StarTableFixture, AugmentedStarTracksFocusInRange) {
   star.contains_focus = false;
   star.aug_bound = 1;
   auto table = materializer_.Materialize(q, star);
-  EXPECT_GT(table->num_rows(), 0u);
-  const StarRow* row = table->RowOfCenter(demo_.sprint());
-  ASSERT_NE(row, nullptr);
-  EXPECT_FALSE(row->focus_matches.empty());
+  const auto& centers = table->center_occurrences();
+  EXPECT_TRUE(
+      std::binary_search(centers.begin(), centers.end(), demo_.sprint()));
+  EXPECT_FALSE(table->focus_occurrences().empty());
 }
 
 TEST_F(StarTableFixture, OccurrencesPerRole) {
@@ -141,7 +152,222 @@ TEST_F(StarTableFixture, EntryCountReflectsContent) {
   PatternQuery q = demo_.Query();
   auto stars = DecomposeStars(q);
   auto table = materializer_.Materialize(q, stars[0]);
-  EXPECT_GT(table->EntryCount(), table->num_rows());
+  size_t stored = table->center_occurrences().size() +
+                  table->focus_occurrences().size();
+  for (size_t s = 0; s < stars[0].spokes.size(); ++s) {
+    stored += table->spoke_occurrences(s).size();
+  }
+  EXPECT_EQ(table->EntryCount(), stored);
+  EXPECT_GT(table->EntryCount(), table->center_occurrences().size());
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the occurrence sets against today's per-row definition of §2.3,
+// recomputed by brute force. A row exists for each center candidate c whose
+// every spoke has a match in c's bounded ball (c itself excluded) and, for an
+// augmented star, which has a focus candidate within the augmented bound
+// ignoring direction (c itself included). The roles' occurrences are the
+// unions over the rows. Distances come from a plain BFS written here, not
+// from BoundedBfs.
+
+enum class Dir { kOut, kIn, kUndirected };
+
+std::vector<uint32_t> HopDistances(const Graph& g, NodeId src, Dir dir) {
+  std::vector<uint32_t> dist(g.num_nodes(), kInfDist);
+  std::vector<NodeId> queue = {src};
+  dist[src] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId x = queue[head];
+    auto relax = [&](std::span<const NodeId> next) {
+      for (NodeId y : next) {
+        if (dist[y] != kInfDist) continue;
+        dist[y] = dist[x] + 1;
+        queue.push_back(y);
+      }
+    };
+    if (dir != Dir::kIn) relax(g.out(x));
+    if (dir != Dir::kOut) relax(g.in(x));
+  }
+  return dist;
+}
+
+struct Occurrences {
+  std::vector<NodeId> centers, focus;
+  std::vector<std::vector<NodeId>> spokes;
+};
+
+Occurrences RowOracle(const Graph& g, const PatternQuery& q,
+                      const StarQuery& star) {
+  Occurrences occ;
+  occ.spokes.resize(star.spokes.size());
+  const bool augmented = !star.contains_focus && star.aug_bound > 0;
+  for (NodeId c = 0; c < g.num_nodes(); ++c) {
+    if (!IsCandidate(g, q, star.center, c)) continue;
+    std::vector<std::vector<NodeId>> cells(star.spokes.size());
+    bool viable = true;
+    for (size_t s = 0; s < star.spokes.size() && viable; ++s) {
+      const StarSpoke& spoke = star.spokes[s];
+      const auto dist =
+          HopDistances(g, c, spoke.outgoing ? Dir::kOut : Dir::kIn);
+      for (NodeId w = 0; w < g.num_nodes(); ++w) {
+        if (w != c && dist[w] <= spoke.bound &&
+            IsCandidate(g, q, spoke.other, w)) {
+          cells[s].push_back(w);
+        }
+      }
+      viable = !cells[s].empty();
+    }
+    if (!viable) continue;
+    std::vector<NodeId> focus_cell;
+    if (augmented) {
+      const auto dist = HopDistances(g, c, Dir::kUndirected);
+      for (NodeId w = 0; w < g.num_nodes(); ++w) {
+        if (dist[w] <= star.aug_bound && IsCandidate(g, q, q.focus(), w)) {
+          focus_cell.push_back(w);
+        }
+      }
+      if (focus_cell.empty()) continue;
+    }
+    occ.centers.push_back(c);
+    for (size_t s = 0; s < cells.size(); ++s) {
+      occ.spokes[s].insert(occ.spokes[s].end(), cells[s].begin(),
+                           cells[s].end());
+    }
+    if (star.center == q.focus()) {
+      occ.focus.push_back(c);
+    } else if (star.focus_spoke >= 0) {
+      const auto& cell = cells[static_cast<size_t>(star.focus_spoke)];
+      occ.focus.insert(occ.focus.end(), cell.begin(), cell.end());
+    } else {
+      occ.focus.insert(occ.focus.end(), focus_cell.begin(), focus_cell.end());
+    }
+  }
+  auto sort_unique = [](std::vector<NodeId>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  sort_unique(occ.focus);
+  for (auto& cell : occ.spokes) sort_unique(cell);
+  return occ;
+}
+
+/// Materializes `star` under every thread count and pipeline setting and
+/// checks each role's occurrences against the row oracle.
+void ExpectMatchesOracle(const Graph& g, const PatternQuery& q,
+                         const StarQuery& star, const std::string& what) {
+  const Occurrences want = RowOracle(g, q, star);
+  for (size_t threads : {1u, 4u}) {
+    for (bool pipeline : {true, false}) {
+      StarMaterializer mat(g);
+      mat.set_num_threads(threads);
+      mat.set_use_pipeline(pipeline);
+      const auto table = mat.Materialize(q, star);
+      const std::string where = what + " threads=" + std::to_string(threads) +
+                                " pipeline=" + std::to_string(pipeline);
+      EXPECT_EQ(table->center_occurrences(), want.centers) << where;
+      EXPECT_EQ(table->focus_occurrences(), want.focus) << where;
+      for (size_t s = 0; s < star.spokes.size(); ++s) {
+        EXPECT_EQ(table->spoke_occurrences(s), want.spokes[s])
+            << where << " spoke=" << s;
+      }
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        EXPECT_EQ(table->ContainsFocusOccurrence(v),
+                  std::binary_search(want.focus.begin(), want.focus.end(), v))
+            << where << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(StarTableOracleTest, OccurrencesMatchPerRowDefinitionOnPresets) {
+  size_t focus_centered = 0, focus_spoke = 0, augmented = 0, unreachable = 0;
+  for (const GraphSpec& spec : {ImdbLike(0.02), DbpediaLike(0.02)}) {
+    const Graph g = GenerateGraph(spec);
+    Rng rng(7);
+    for (int trial = 0; trial < 12; ++trial) {
+      QueryGenOptions opts;
+      opts.seed = 100 + static_cast<uint64_t>(trial);
+      opts.num_edges = 1 + rng.Index(4);
+      opts.max_literals = rng.Index(3);
+      opts.max_bound = 3;
+      opts.min_answers = 1;
+      const auto q = GenerateGroundTruthQuery(g, opts);
+      if (!q.has_value()) continue;
+      for (const StarQuery& star : DecomposeStars(*q)) {
+        const std::string what =
+            spec.name + " trial=" + std::to_string(trial) + " " +
+            star.Signature(*q);
+        if (star.center == q->focus()) ++focus_centered;
+        if (star.focus_spoke >= 0) ++focus_spoke;
+        ExpectMatchesOracle(g, *q, star, what);
+        if (star.contains_focus) continue;
+        ++augmented;
+        // The same star at other augmented bounds, 0 (focus unreachable in
+        // the pattern) included.
+        for (uint32_t bound : {0u, 1u, 3u}) {
+          StarQuery variant = star;
+          variant.aug_bound = bound;
+          unreachable += bound == 0 ? 1 : 0;
+          ExpectMatchesOracle(g, *q, variant,
+                              what + " aug_bound=" + std::to_string(bound));
+        }
+      }
+    }
+  }
+  // Every kind of star was exercised.
+  EXPECT_GT(focus_centered, 0u);
+  EXPECT_GT(focus_spoke, 0u);
+  EXPECT_GT(augmented, 0u);
+  EXPECT_GT(unreachable, 0u);
+}
+
+// A center lying in another viable center's spoke ball: n1 is both a center
+// (its spoke reaches n2) and n0's spoke match. A single multi-source sweep
+// over all centers would see n1 at distance 0 and drop it from the spoke.
+TEST(StarTableOracleTest, CenterInsideAnotherCentersSpokeBall) {
+  Graph g;
+  const NodeId n0 = g.AddNode("A"), n1 = g.AddNode("A"), n2 = g.AddNode("A");
+  g.AddEdge(n0, n1);
+  g.AddEdge(n1, n2);
+  g.Finalize();
+  PatternQuery q;
+  const LabelId a = g.schema().LookupLabel("A");
+  const QNodeId u0 = q.AddNode(a), u1 = q.AddNode(a);
+  q.AddEdge(u0, u1, 1);
+  q.SetFocus(u0);
+  StarQuery star;
+  star.center = u0;
+  star.spokes = {{u1, 1, true}};
+  star.contains_focus = true;
+  StarMaterializer mat(g);
+  const auto table = mat.Materialize(q, star);
+  EXPECT_EQ(table->center_occurrences(), (std::vector<NodeId>{n0, n1}));
+  EXPECT_EQ(table->spoke_occurrences(0), (std::vector<NodeId>{n1, n2}));
+  ExpectMatchesOracle(g, q, star, "center-in-spoke-ball");
+}
+
+// A cycle back to the center: n0 reaches itself in two hops, but a center's
+// spoke ball never holds the center, so the wildcard spoke sees only n1.
+TEST(StarTableOracleTest, CycleBackToTheCenterStaysOutOfItsSpoke) {
+  Graph g;
+  const NodeId n0 = g.AddNode("A"), n1 = g.AddNode("B");
+  g.AddEdge(n0, n1);
+  g.AddEdge(n1, n0);
+  g.Finalize();
+  PatternQuery q;
+  const QNodeId u0 = q.AddNode(g.schema().LookupLabel("A"));
+  const QNodeId u1 = q.AddNode(kWildcardSymbol);
+  q.AddEdge(u0, u1, 2);
+  q.SetFocus(u0);
+  StarQuery star;
+  star.center = u0;
+  star.spokes = {{u1, 2, true}};
+  star.contains_focus = true;
+  StarMaterializer mat(g);
+  const auto table = mat.Materialize(q, star);
+  EXPECT_EQ(table->center_occurrences(), std::vector<NodeId>{n0});
+  EXPECT_EQ(table->spoke_occurrences(0), std::vector<NodeId>{n1});
+  ExpectMatchesOracle(g, q, star, "cycle-to-center");
 }
 
 }  // namespace

@@ -177,6 +177,76 @@ TEST_F(StoreFixture, VersionBumpIsRejected) {
   EXPECT_EQ(warmed.size(), 0u);
 }
 
+TEST_F(StoreFixture, StarViewsInTheRowLayoutAreACleanMiss) {
+  // A star-views file as written before tables became occurrence-only:
+  // builder revision 1, and each table carried one row per viable center
+  // (center id, one (node, distance) cell per spoke, the augmented focus
+  // cell) ahead of its occurrence sets and a stored entry count. The header's
+  // params check must turn it away before any table is decoded.
+  struct RowCell {
+    NodeId node;
+    uint32_t dist;
+  };
+  const PatternQuery q = demo_.Query();
+  StarMaterializer mat(graph());
+  const std::vector<StarQuery> stars = DecomposeStars(q);
+  store::Writer payload;
+  payload.U64(stars.size());
+  for (const StarQuery& star : stars) {
+    const auto table = mat.Materialize(q, star);
+    store::Writer t;
+    t.U32(star.center);
+    t.U64(star.spokes.size());
+    for (const StarSpoke& sp : star.spokes) {
+      t.U32(sp.other);
+      t.U32(sp.bound);
+      t.U8(sp.outgoing ? 1 : 0);
+    }
+    t.U32(static_cast<uint32_t>(star.focus_spoke));
+    t.U8(star.contains_focus ? 1 : 0);
+    t.U32(star.aug_bound);
+    t.U32(q.focus());
+    t.U64(table->center_occurrences().size());
+    for (NodeId c : table->center_occurrences()) {
+      t.U32(c);
+      for (size_t s = 0; s < star.spokes.size(); ++s) {
+        std::vector<RowCell> cell;
+        for (NodeId w : table->spoke_occurrences(s)) cell.push_back({w, 1});
+        t.PodVec(cell);
+      }
+      t.PodVec(std::vector<RowCell>());
+    }
+    t.PodVec(table->focus_occurrences());
+    t.PodVec(table->center_occurrences());
+    for (size_t s = 0; s < star.spokes.size(); ++s) {
+      t.PodVec(table->spoke_occurrences(s));
+    }
+    t.U64(table->EntryCount());
+    payload.Str(star.Signature(q));
+    payload.U64(table->EntryCount());
+    payload.Str(t.bytes());
+  }
+  auto s = MakeStore();
+  const std::string path = s.ArtifactPath(store::ArtifactKind::kStarViews);
+  fs::create_directories(fs::path(path).parent_path());
+  ASSERT_TRUE(store::WriteFileAtomic(
+                  path, store::SealFile(store::ArtifactKind::kStarViews, fp(),
+                                        /*params=*/1, payload.Take()))
+                  .ok());
+
+  ViewCache warmed;
+  const Status st = s.WarmStarViews(graph(), &warmed);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("builder-parameter"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(warmed.size(), 0u);
+  // The rebuild overwrites the old file, and the next run warms from it.
+  ViewCache cache;
+  SaveDemoViews(s, cache);
+  ASSERT_TRUE(s.WarmStarViews(graph(), &warmed).ok());
+  EXPECT_EQ(warmed.size(), cache.size());
+}
+
 TEST_F(StoreFixture, CorruptedStarViewsNeverHalfWarmTheCache) {
   auto s = MakeStore();
   ViewCache cache;

@@ -20,8 +20,10 @@
 #      (including the bundle fault-injection tests in mmap_store_test and
 #      bundle_mutation_test);
 #   8. a ThreadSanitizer build (WQE_SANITIZE=thread) running the tests that
-#      exercise the parallel evaluation layer, the serving layer, and the
-#      telemetry structures (sliding windows, flight recorder, scope folds).
+#      exercise the parallel evaluation layer (the star materializer's
+#      4-thread path included, via the star-view oracle), the serving layer,
+#      and the telemetry structures (sliding windows, flight recorder, scope
+#      folds).
 # Usage: tools/check.sh [jobs]   (jobs defaults to nproc)
 set -euo pipefail
 
@@ -239,9 +241,9 @@ cmake -B build-tsan -S . -DWQE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test matcher_test \
-  star_matcher_test distance_index_test answ_test delta_eval_test \
-  serve_test obs_test telemetry_test
+  star_matcher_test star_table_test distance_index_test answ_test \
+  delta_eval_test serve_test obs_test telemetry_test
 (cd build-tsan && ctest --output-on-failure -R \
-  'ThreadPool|ParallelFor|PerThread|ParallelDeterminism|Matcher|StarMatcher|DistanceIndex|AnsW|DeltaEval|Serve|ObsFold|SlidingHistogram|FlightRecorder|TelemetryServer')
+  'ThreadPool|ParallelFor|PerThread|ParallelDeterminism|Matcher|StarMatcher|StarTableOracle|DistanceIndex|AnsW|DeltaEval|Serve|ObsFold|SlidingHistogram|FlightRecorder|TelemetryServer')
 
 echo "== all checks passed =="
