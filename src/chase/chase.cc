@@ -141,7 +141,7 @@ namespace {
 
 void ExhaustiveDfs(ChaseContext& ctx, const std::shared_ptr<EvalResult>& cur,
                    size_t depth, size_t max_depth,
-                   std::unordered_map<std::string, double>& visited,
+                   std::unordered_map<QueryKey, double, QueryKey::Hash>& visited,
                    ExhaustiveResult& result) {
   ++result.sequences_explored;
   if (cur->satisfies_exemplar && cur->cl > result.best_closeness) {
@@ -158,16 +158,16 @@ void ExhaustiveDfs(ChaseContext& ctx, const std::shared_ptr<EvalResult>& cur,
   while (const ScoredOp* so = node.Poll()) {
     PatternQuery q = cur->query;
     if (!Apply(so->op, &q, ctx.options().max_bound)) continue;
-    const std::string fp = q.Fingerprint();
+    QueryKey key = ctx.RenderKey(q);
     const double cost = cur->cost + so->cost;
     // Revisit a rewrite only when reached more cheaply: the cheaper visit's
     // subtree strictly contains the pricier one's.
-    auto seen = visited.find(fp);
+    auto seen = visited.find(key);
     if (seen != visited.end() && seen->second <= cost + engine::kEps) continue;
-    visited[fp] = cost;
+    visited[key] = cost;
     OpSequence ops = cur->ops;
     ops.Append(so->op);
-    auto eval = ctx.Evaluate(q, std::move(ops));
+    auto eval = ctx.Evaluate(q, key, std::move(ops));
     ExhaustiveDfs(ctx, eval, depth + 1, max_depth, visited, result);
   }
 }
@@ -176,8 +176,8 @@ void ExhaustiveDfs(ChaseContext& ctx, const std::shared_ptr<EvalResult>& cur,
 
 ExhaustiveResult ExhaustiveChase(ChaseContext& ctx, size_t max_depth) {
   ExhaustiveResult result;
-  std::unordered_map<std::string, double> visited;
-  visited[ctx.root()->query.Fingerprint()] = 0.0;
+  std::unordered_map<QueryKey, double, QueryKey::Hash> visited;
+  visited[ctx.root()->key] = 0.0;
   ExhaustiveDfs(ctx, ctx.root(), 0, max_depth, visited, result);
   return result;
 }

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "match/candidate_set.h"
@@ -54,13 +53,13 @@ DeltaEvaluator::DeltaClass DeltaEvaluator::ClassifyDelta(
 }
 
 std::vector<NodeId> DeltaEvaluator::RelaxDelta(
-    const PatternQuery& q, const EvalResult& parent,
+    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
     std::shared_ptr<const StarEvalState>* state) {
   StarMatcher& sm = ctx_.star_matcher_;
   // Relaxation may enlarge the candidate space, so every star table is
   // needed at full strength: reuse unchanged ones, materialize the rest.
   const uint64_t reuse_before = sm.stats().reuse_hits;
-  auto st = sm.ResolveTables(q, parent.star_state.get(),
+  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
                              /*materialize_missing=*/true);
   c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
   const auto allowed = sm.AllowedSets(q, *st);
@@ -69,7 +68,7 @@ std::vector<NodeId> DeltaEvaluator::RelaxDelta(
   if (allowed[q.focus()].has_value()) {
     candidates = *allowed[q.focus()];
   } else {
-    candidates = sm.FocusCandidates(q).Take();
+    candidates = sm.FocusCandidates(q, key).Take();
   }
   // Q(G) ⊆ Q'(G): the parent's matches are child matches already — only
   // candidates outside them can change verdict.
@@ -83,7 +82,7 @@ std::vector<NodeId> DeltaEvaluator::RelaxDelta(
   };
   const uint64_t t0 = NowNs();
   std::vector<NodeId> verified =
-      sm.VerifyCandidates(q, std::move(to_verify), allowed, &priority);
+      sm.VerifyCandidates(q, key, std::move(to_verify), allowed, &priority);
   h_reverify_ns_->Observe(NowNs() - t0);
 
   *state = std::move(st);
@@ -91,7 +90,7 @@ std::vector<NodeId> DeltaEvaluator::RelaxDelta(
 }
 
 std::vector<NodeId> DeltaEvaluator::RefineDelta(
-    const PatternQuery& q, const EvalResult& parent,
+    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
     std::shared_ptr<const StarEvalState>* state) {
   StarMatcher& sm = ctx_.star_matcher_;
   // Q'(G) ⊆ Q(G): only the parent's matches can survive, and verification
@@ -99,7 +98,7 @@ std::vector<NodeId> DeltaEvaluator::RefineDelta(
   // or a cache peek) and never pay a materialization. Absent tables merely
   // filter less before the exact checks.
   const uint64_t reuse_before = sm.stats().reuse_hits;
-  auto st = sm.ResolveTables(q, parent.star_state.get(),
+  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
                              /*materialize_missing=*/false);
   c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
   const auto allowed = sm.AllowedSets(q, *st);
@@ -126,7 +125,7 @@ std::vector<NodeId> DeltaEvaluator::RefineDelta(
   };
   const uint64_t t0 = NowNs();
   std::vector<NodeId> verified =
-      sm.VerifyCandidates(q, std::move(candidates), allowed, &priority);
+      sm.VerifyCandidates(q, key, std::move(candidates), allowed, &priority);
   h_reverify_ns_->Observe(NowNs() - t0);
 
   *state = std::move(st);
@@ -134,13 +133,13 @@ std::vector<NodeId> DeltaEvaluator::RefineDelta(
 }
 
 std::shared_ptr<EvalResult> DeltaEvaluator::Evaluate(
-    const PatternQuery& q, OpSequence ops, const EvalResult* parent,
-    const std::vector<Op>& applied) {
+    const PatternQuery& q, const QueryKey& key, OpSequence ops,
+    const EvalResult* parent, const std::vector<Op>& applied) {
   const DeltaClass cls =
       parent == nullptr ? DeltaClass::kFull : ClassifyDelta(applied);
   if (cls == DeltaClass::kFull) {
     c_full_fallbacks_->Inc();
-    return ctx_.Evaluate(q, std::move(ops));
+    return ctx_.Evaluate(q, key, std::move(ops));
   }
 
   // From here on this is ChaseContext::Evaluate with only the match-set
@@ -150,14 +149,14 @@ std::shared_ptr<EvalResult> DeltaEvaluator::Evaluate(
   const uint64_t t0 = NowNs();
   auto result = std::make_shared<EvalResult>();
   result->query = q;
+  result->key = key;
   result->cost = ctx_.SeqCost(ops);
   for (const Op& op : ops.ops()) {
     if (op.is_refine()) result->refined = true;
   }
   result->ops = std::move(ops);
 
-  const std::string fp = q.Fingerprint();
-  auto memo = ctx_.opts_.use_memo ? ctx_.match_memo_.find(fp)
+  auto memo = ctx_.opts_.use_memo ? ctx_.match_memo_.find(key)
                                   : ctx_.match_memo_.end();
   if (ctx_.opts_.use_memo && memo != ctx_.match_memo_.end()) {
     ++ctx_.stats_.memo_hits;
@@ -169,10 +168,10 @@ std::shared_ptr<EvalResult> DeltaEvaluator::Evaluate(
     c_delta_hits_->Inc();
     std::shared_ptr<const StarEvalState> state;
     result->matches = cls == DeltaClass::kRelax
-                          ? RelaxDelta(q, *parent, &state)
-                          : RefineDelta(q, *parent, &state);
+                          ? RelaxDelta(q, key, *parent, &state)
+                          : RefineDelta(q, key, *parent, &state);
     result->star_state = std::move(state);
-    if (ctx_.opts_.use_memo) ctx_.match_memo_.emplace(fp, result->matches);
+    if (ctx_.opts_.use_memo) ctx_.match_memo_.emplace(key, result->matches);
   }
 
   result->rel = Classify(ctx_.universe_, result->matches, ctx_.rep_);

@@ -45,11 +45,13 @@ class DeltaEvaluator {
  public:
   explicit DeltaEvaluator(ChaseContext& ctx);
 
-  /// Evaluates child rewrite `q` (= parent ⊕ `applied`), where `parent` is
-  /// the evaluation of the proposal's base query (null = no parent context).
-  /// `ops` is the child's full derivation, recorded on the result like the
-  /// full path does. May throw DeadlineExceeded (the engine's anytime stop).
-  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops,
+  /// Evaluates child rewrite `q` (= parent ⊕ `applied`, with key `key` =
+  /// QueryKey::Of(q)), where `parent` is the evaluation of the proposal's
+  /// base query (null = no parent context). `ops` is the child's full
+  /// derivation, recorded on the result like the full path does. May throw
+  /// DeadlineExceeded (the engine's anytime stop).
+  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
+                                       const QueryKey& key, OpSequence ops,
                                        const EvalResult* parent,
                                        const std::vector<Op>& applied);
 
@@ -62,14 +64,14 @@ class DeltaEvaluator {
 
   /// Relax-only delta: parent matches carry over; verify only the star-
   /// pruned candidates outside them and merge.
-  std::vector<NodeId> RelaxDelta(const PatternQuery& q,
+  std::vector<NodeId> RelaxDelta(const PatternQuery& q, const QueryKey& key,
                                  const EvalResult& parent,
                                  std::shared_ptr<const StarEvalState>* state);
 
   /// Refine-only delta: filter parent matches against the child tables we
   /// can get for free (reuse or cache — never materialized), then re-verify
   /// the survivors exactly.
-  std::vector<NodeId> RefineDelta(const PatternQuery& q,
+  std::vector<NodeId> RefineDelta(const PatternQuery& q, const QueryKey& key,
                                   const EvalResult& parent,
                                   std::shared_ptr<const StarEvalState>* state);
 

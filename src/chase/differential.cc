@@ -47,7 +47,7 @@ DifferentialTable BuildDifferentialTable(ChaseContext& ctx,
   for (const Op& op : ops.ops()) {
     if (!Apply(op, &q, ctx.options().max_bound)) break;
     prefix.Append(op);
-    auto next = delta.Evaluate(q, prefix, prev.get(), {op});
+    auto next = delta.Evaluate(q, ctx.RenderKey(q), prefix, prev.get(), {op});
 
     DifferentialEntry entry;
     entry.op = op;

@@ -12,9 +12,8 @@ namespace wqe::engine {
 
 bool TopK::Offer(const EvalResult& eval) {
   if (!eval.satisfies_exemplar) return false;
-  std::string fp = eval.query.Fingerprint();
   for (WhyAnswer& a : answers_) {
-    if (a.fingerprint == fp) {
+    if (a.fingerprint == eval.key.text) {
       // A duplicate reached more cheaply carries the better derivation
       // (AnsW); the beam variant keeps first-found derivations.
       if (update_cheaper_duplicate_ && eval.cost < a.cost - kEps) {
@@ -26,7 +25,7 @@ bool TopK::Offer(const EvalResult& eval) {
   }
   WhyAnswer a;
   a.rewrite = eval.query;
-  a.fingerprint = std::move(fp);
+  a.fingerprint = eval.key.text;
   a.ops = eval.ops;
   a.cost = eval.cost;
   a.matches = eval.matches;
@@ -53,7 +52,7 @@ const std::vector<NodeId>& TopK::BestMatches() const {
 
 void SeedRoot(const EngineConfig& cfg, ChaseState& state, const Judged& root) {
   if (cfg.dedup != DedupMode::kOff) {
-    state.visited.emplace(root.eval->query.Fingerprint(), root.eval->cost);
+    state.visited.emplace(root.eval->key, root.eval->cost);
   }
   // The root is only offered: never pruned, never an AfterOffer stop, never
   // absorbed here (the frontier seeds itself) — the legacy seed sequence.
@@ -105,19 +104,22 @@ void Run(const EngineConfig& cfg, ChaseState& state) {
 
     if (cfg.check_budget && !WithinBudget(prop.cost, opts.budget)) continue;
 
+    // The rewrite's one render: dedup, the evaluator and the result all
+    // read this key.
+    prop.key = QueryKey::Of(next_query);
+    ++state.fingerprint_renders;
+
     if (cfg.dedup != DedupMode::kOff) {
-      const std::string fp = next_query.Fingerprint();
       if (cfg.dedup == DedupMode::kFirstVisit) {
-        if (!state.visited.emplace(fp, prop.cost).second) continue;
+        if (!state.visited.emplace(prop.key, prop.cost).second) continue;
       } else {
         // A revisit at equal or higher cost explores a subset of the cheaper
         // visit's subtree.
-        auto seen = state.visited.find(fp);
-        if (seen != state.visited.end() &&
-            seen->second <= prop.cost + kEps) {
-          continue;
+        auto [seen, inserted] = state.visited.try_emplace(prop.key, prop.cost);
+        if (!inserted) {
+          if (seen->second <= prop.cost + kEps) continue;
+          seen->second = prop.cost;
         }
-        state.visited[fp] = prop.cost;
       }
     }
 
@@ -177,7 +179,7 @@ void Run(const EngineConfig& cfg, ChaseState& state) {
 WhyAnswer MakeAnswer(const EvalResult& eval) {
   WhyAnswer a;
   a.rewrite = eval.query;
-  a.fingerprint = a.rewrite.Fingerprint();
+  a.fingerprint = eval.key.text;
   a.ops = eval.ops;
   a.cost = eval.cost;
   a.matches = eval.matches;
@@ -195,6 +197,7 @@ void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
   }
   result->trace = std::move(state.trace);
   ctx.stats().bound_cuts += state.bound_cuts;
+  ctx.stats().fingerprint_renders += state.fingerprint_renders;
   ctx.stats().elapsed_seconds = state.timer.ElapsedSeconds();
   ctx.stats().termination = reason;
   result->stats = ctx.stats();
@@ -206,7 +209,8 @@ EvalFn ContextEval(ChaseContext& ctx) {
   auto delta = std::make_shared<DeltaEvaluator>(ctx);
   return [delta](PatternQuery&& query, OpSequence ops, const Proposal& prop) {
     Judged j;
-    j.eval = delta->Evaluate(query, std::move(ops), prop.base_eval, prop.ops);
+    j.eval = delta->Evaluate(query, prop.key, std::move(ops), prop.base_eval,
+                             prop.ops);
     return j;
   };
 }
@@ -218,6 +222,7 @@ void AccumulateStats(ChaseStats& total, const ChaseStats& delta) {
   total.ops_generated += delta.ops_generated;
   total.pruned += delta.pruned;
   total.bound_cuts += delta.bound_cuts;
+  total.fingerprint_renders += delta.fingerprint_renders;
   total.elapsed_seconds += delta.elapsed_seconds;
   total.termination = delta.termination;  // latest run's reason
   obs::MergePhases(total.phases, delta.phases);
@@ -406,6 +411,8 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo) {
   o.metrics.counter("chase.steps").Inc(after.steps - before.steps);
   o.metrics.counter("chase.pruned").Inc(after.pruned - before.pruned);
   o.metrics.counter("chase.bound_cuts").Inc(after.bound_cuts - before.bound_cuts);
+  o.metrics.counter("chase.fingerprint_renders")
+      .Inc(after.fingerprint_renders - before.fingerprint_renders);
   o.metrics.counter("chase.ops_generated")
       .Inc(after.ops_generated - before.ops_generated);
   o.metrics.counter("solve.runs").Inc();

@@ -78,9 +78,9 @@ struct ChaseState {
   Timer timer;
   TopK topk;
   std::vector<AnytimeSample> trace;
-  /// Cheapest cost at which each rewrite fingerprint was reached (kCheapest
-  /// dedup) or a first-visit marker (kFirstVisit).
-  std::unordered_map<std::string, double> visited;
+  /// Cheapest cost at which each rewrite key was reached (kCheapest dedup)
+  /// or a first-visit marker (kFirstVisit).
+  std::unordered_map<QueryKey, double, QueryKey::Hash> visited;
   /// Coverage-style incumbents (FMAnsW, ApxWhyM): best closeness seen at
   /// all, and best among Σ-consistent rewrites.
   std::shared_ptr<EvalResult> best_any;
@@ -95,6 +95,10 @@ struct ChaseState {
   /// evaluation ran (also counted into `pruned`). Folded into
   /// ChaseStats::bound_cuts by Finalize.
   uint64_t bound_cuts = 0;
+
+  /// Rewrite keys rendered by Run, one per materialized rewrite. Folded into
+  /// ChaseStats::fingerprint_renders by Finalize.
+  uint64_t fingerprint_renders = 0;
 
   bool out_of_time = false;  // deadline fired (loop head or mid-evaluation)
   bool exhausted = false;    // the frontier drained
@@ -129,6 +133,10 @@ struct Proposal {
   /// the evaluator falls back to a full evaluation. Same lifetime contract
   /// as base_query: valid for the engine iteration that received it.
   const EvalResult* base_eval = nullptr;
+  /// Key of the materialized rewrite base_query ⊕ ops. Run renders it once,
+  /// after applying the ops, and every later consumer — dedup, the
+  /// evaluator's memo and plan lookups, the EvalResult — takes it from here.
+  QueryKey key;
 };
 
 /// An evaluated proposal. `eval` summarizes the rewrite for the engine's
@@ -232,8 +240,8 @@ class StopPolicy {
 };
 
 /// Evaluates a rewrite produced by the engine (the ops are already applied
-/// to the query). May throw DeadlineExceeded; the engine turns that into the
-/// anytime deadline return.
+/// to the query, whose key is prop.key). May throw DeadlineExceeded; the
+/// engine turns that into the anytime deadline return.
 using EvalFn =
     std::function<Judged(PatternQuery&& query, OpSequence ops,
                          const Proposal& prop)>;
@@ -277,8 +285,9 @@ void SeedRoot(const EngineConfig& cfg, ChaseState& state, const Judged& root);
 ///   frontier probe → step cap (at frontier checkpoints) → StopPolicy::Done →
 ///   strided deadline poll →
 ///   FrontierPolicy::Next → step tick (kAtPoll) → apply ops → budget check →
-///   dedup → step tick (kAtEvaluate) → evaluate (DeadlineExceeded ⇒ anytime
-///   stop) → ShouldPrune → Offer (+trace) → AfterOffer → Absorb.
+///   render the rewrite's key → dedup → step tick (kAtEvaluate) → evaluate
+///   (DeadlineExceeded ⇒ anytime stop) → ShouldPrune → Offer (+trace) →
+///   AfterOffer → Absorb.
 /// On return, `state.out_of_time` has been refreshed with one final clock
 /// poll so Termination() never mislabels a just-expired run.
 void Run(const EngineConfig& cfg, ChaseState& state);

@@ -196,19 +196,20 @@ uint64_t ChaseContext::graph_fingerprint() {
 }
 
 std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
+                                                   const QueryKey& key,
                                                    OpSequence ops) {
   WQE_SPAN("chase.evaluate");
   const uint64_t t0 = NowNs();
   auto result = std::make_shared<EvalResult>();
   result->query = q;
+  result->key = key;
   result->cost = SeqCost(ops);
   for (const Op& op : ops.ops()) {
     if (op.is_refine()) result->refined = true;
   }
   result->ops = std::move(ops);
 
-  const std::string fp = q.Fingerprint();
-  auto memo = opts_.use_memo ? match_memo_.find(fp) : match_memo_.end();
+  auto memo = opts_.use_memo ? match_memo_.find(key) : match_memo_.end();
   if (opts_.use_memo && memo != match_memo_.end()) {
     ++stats_.memo_hits;
     c_memo_hits_->Inc();
@@ -220,12 +221,12 @@ std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
     std::function<double(NodeId)> priority = [this](NodeId v) {
       return rep_.ClosenessOf(v);
     };
-    auto eval = star_matcher_.Evaluate(q, &priority);
+    auto eval = star_matcher_.Evaluate(q, key, &priority);
     result->matches = std::move(eval.matches);
     // The delta evaluator reuses the resolved star state for this node's
     // children.
     result->star_state = std::move(eval.state);
-    if (opts_.use_memo) match_memo_.emplace(fp, result->matches);
+    if (opts_.use_memo) match_memo_.emplace(key, result->matches);
   }
 
   result->rel = Classify(universe_, result->matches, rep_);
@@ -252,6 +253,7 @@ bool ChaseContext::SatisfiesExemplar(const std::vector<NodeId>& matches) const {
 }
 
 std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
+                                                           QueryKey key,
                                                            OpSequence ops,
                                                            double cost) {
   // The reformulation baseline evaluates from scratch with the plain
@@ -260,6 +262,7 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
   // cl⁺ stays 0 — the baseline never prunes by bound.
   auto result = std::make_shared<EvalResult>();
   result->query = std::move(q);
+  result->key = std::move(key);
   result->ops = std::move(ops);
   result->cost = cost;
   result->matches = star_matcher_.matcher().Answer(result->query);

@@ -27,6 +27,7 @@ class ArtifactStore;
 /// derived, its answer, relevance classification, and closeness scores.
 struct EvalResult {
   PatternQuery query;
+  QueryKey key;     // QueryKey::Of(query), rendered once per rewrite
   OpSequence ops;   // Q = Q_0 ⊕ ops
   double cost = 0;  // c(ops)
 
@@ -70,6 +71,7 @@ struct ChaseStats {
   uint64_t pruned = 0;            // chase nodes pruned by §5.4
   uint64_t bound_cuts = 0;        // refine children cut by the parent's cl⁺
                                   // bound before evaluation (delta path)
+  uint64_t fingerprint_renders = 0;  // rewrite keys rendered (QueryKey::Of)
   double elapsed_seconds = 0;
   TerminationReason termination = TerminationReason::kExhausted;
   /// Per-phase breakdown of this run (from the context's tracer): where the
@@ -177,15 +179,33 @@ class ChaseContext {
   ~ChaseContext();
 
   /// Evaluates a rewrite: answer, relevance, closeness. Matches are memoized
-  /// by query fingerprint; `ops` and its cost are recorded per call.
-  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops);
+  /// by the rewrite's key (= QueryKey::Of(q), which the engine renders once
+  /// per rewrite); `ops` and its cost are recorded per call. The short form
+  /// renders the key itself and counts the render.
+  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
+                                       const QueryKey& key, OpSequence ops);
+  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops) {
+    return Evaluate(q, RenderKey(q), std::move(ops));
+  }
 
   /// Evaluates a rewrite with the plain exact matcher — no star views, no
   /// memo, no chase counters. This is the FMAnsW baseline's evaluation
   /// semantics (§7's "no star-view" arm), centralized here so solver policy
   /// files never call the matcher directly (tools/check.sh enforces this).
+  std::shared_ptr<EvalResult> EvaluateBaseline(PatternQuery q, QueryKey key,
+                                               OpSequence ops, double cost);
   std::shared_ptr<EvalResult> EvaluateBaseline(PatternQuery q, OpSequence ops,
-                                               double cost);
+                                               double cost) {
+    QueryKey key = RenderKey(q);
+    return EvaluateBaseline(std::move(q), std::move(key), std::move(ops),
+                            cost);
+  }
+
+  /// QueryKey::Of(q), counted into stats().fingerprint_renders.
+  QueryKey RenderKey(const PatternQuery& q) {
+    ++stats_.fingerprint_renders;
+    return QueryKey::Of(q);
+  }
 
   /// The evaluated original query Q_0 (chase root).
   const std::shared_ptr<EvalResult>& root() const { return root_; }
@@ -265,7 +285,8 @@ class ChaseContext {
   double cl_star_ = 0;
 
   std::shared_ptr<EvalResult> root_;
-  std::unordered_map<std::string, std::vector<NodeId>> match_memo_;
+  std::unordered_map<QueryKey, std::vector<NodeId>, QueryKey::Hash>
+      match_memo_;
   ChaseStats stats_;
   uint64_t graph_fingerprint_ = 0;  // 0 = not yet computed
 };

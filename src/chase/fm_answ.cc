@@ -250,7 +250,8 @@ ChaseResult internal::RunFMAnsW(ChaseContext& ctx) {
                      const engine::Proposal& prop) {
     ++evaluations;
     engine::Judged j;
-    j.eval = ctx.EvaluateBaseline(std::move(query), std::move(ops), prop.cost);
+    j.eval = ctx.EvaluateBaseline(std::move(query), prop.key, std::move(ops),
+                                  prop.cost);
     return j;
   };
   cfg.step_count = engine::StepCount::kAtEvaluate;

@@ -85,13 +85,13 @@ class JointAccept : public engine::AcceptPolicy {
              engine::ChaseState&) override {
     const auto& joint = *std::static_pointer_cast<JointEval>(judged.detail);
     if (!joint.satisfies_all) return false;
-    std::string fp = joint.query.Fingerprint();
+    const std::string& fp = judged.eval->key.text;
     for (const MultiFocusAnswer& a : answers_) {
       if (a.fingerprint == fp) return false;
     }
     MultiFocusAnswer a;
     a.rewrite = joint.query;
-    a.fingerprint = std::move(fp);
+    a.fingerprint = fp;
     a.ops = joint.ops;
     a.cost = joint.cost;
     a.total_closeness = joint.total_cl;
@@ -149,7 +149,7 @@ MultiFocusResult AnsWMultiFocus(const Graph& g, const MultiFocusQuestion& w,
   // summed closeness/bound so the generic frontier/prune machinery orders
   // joint nodes exactly as the dedicated loop did.
   auto evaluate = [&](PatternQuery&& query, OpSequence ops,
-                      const engine::Proposal&) {
+                      const engine::Proposal& prop) {
     auto joint = std::make_shared<JointEval>();
     joint->query = std::move(query);
     joint->ops = std::move(ops);
@@ -170,6 +170,7 @@ MultiFocusResult AnsWMultiFocus(const Graph& g, const MultiFocusQuestion& w,
     engine::Judged j;
     auto summary = std::make_shared<EvalResult>();
     summary->query = joint->query;
+    summary->key = prop.key;
     summary->ops = joint->ops;
     summary->cost = joint->cost;
     summary->cl = joint->total_cl;
@@ -196,8 +197,9 @@ MultiFocusResult AnsWMultiFocus(const Graph& g, const MultiFocusQuestion& w,
   cfg.check_budget = true;
   cfg.dedup = engine::DedupMode::kCheapest;
 
-  engine::Judged root =
-      evaluate(PatternQuery(w.query), OpSequence(), engine::Proposal());
+  engine::Proposal root_prop;
+  root_prop.key = QueryKey::Of(w.query);
+  engine::Judged root = evaluate(PatternQuery(w.query), OpSequence(), root_prop);
   const auto root_joint = std::static_pointer_cast<JointEval>(root.detail);
   engine::SeedRoot(cfg, state, root);
   frontier.Push(root);
@@ -216,7 +218,7 @@ MultiFocusResult AnsWMultiFocus(const Graph& g, const MultiFocusQuestion& w,
   if (result.answers.empty()) {
     MultiFocusAnswer a;
     a.rewrite = root_joint->query;
-    a.fingerprint = a.rewrite.Fingerprint();
+    a.fingerprint = root_prop.key.text;
     a.total_closeness = root_joint->total_cl;
     for (const auto& eval : root_joint->per_focus) {
       a.matches_per_focus.push_back(eval->matches);
@@ -228,11 +230,13 @@ MultiFocusResult AnsWMultiFocus(const Graph& g, const MultiFocusQuestion& w,
   result.stats.steps = steps;
   result.stats.pruned = pruned;
   result.stats.bound_cuts = state.bound_cuts;
+  result.stats.fingerprint_renders = 1 + state.fingerprint_renders;  // + root
   result.stats.elapsed_seconds = state.timer.ElapsedSeconds();
   result.stats.termination = stop.Termination(state);
   for (const auto& ctx : contexts) {
     result.stats.evaluations += ctx->stats().evaluations;
     result.stats.ops_generated += ctx->stats().ops_generated;
+    result.stats.fingerprint_renders += ctx->stats().fingerprint_renders;
   }
   return result;
 }

@@ -72,6 +72,7 @@ constexpr size_t kMaxNewNodeLabels = 10;
 }  // namespace
 
 WitnessSet CollectWitnesses(ChaseContext& ctx, const PatternQuery& q,
+                            const QueryKey& key,
                             const std::vector<NodeId>& focus_nodes) {
   WitnessSet set;
   Matcher& matcher = ctx.star_matcher().matcher();
@@ -83,7 +84,7 @@ WitnessSet CollectWitnesses(ChaseContext& ctx, const PatternQuery& q,
   // index-addressed slots and fold in focus-node order.
   std::vector<std::vector<std::vector<NodeId>>> assigns(focus_nodes.size());
   auto collect = [&](size_t i, Matcher& m) {
-    m.Valuations(q, focus_nodes[i], cap,
+    m.Valuations(q, key, focus_nodes[i], cap,
                  [&](const std::vector<NodeId>& assign) {
                    assigns[i].push_back(assign);
                    return true;
@@ -125,8 +126,8 @@ std::vector<ScoredOp> GenerateRefineOps(ChaseContext& ctx, const EvalResult& cur
   if (rm.size() > cap) rm.resize(cap);
   if (im.size() > cap) im.resize(cap);
 
-  WitnessSet rm_w = CollectWitnesses(ctx, q, rm);
-  WitnessSet im_w = CollectWitnesses(ctx, q, im);
+  WitnessSet rm_w = CollectWitnesses(ctx, q, cur.key, rm);
+  WitnessSet im_w = CollectWitnesses(ctx, q, cur.key, im);
 
   std::vector<ScoredOp> out;
   auto push = [&](Op op, RemovalEstimate est) {

@@ -18,8 +18,10 @@ struct WitnessSet {
   std::vector<std::vector<std::vector<NodeId>>> assignments;
 };
 
-/// Enumerates witness valuations for `focus_nodes` under query `q`.
+/// Enumerates witness valuations for `focus_nodes` under query `q`, whose
+/// key (= QueryKey::Of(q)) is `key`.
 WitnessSet CollectWitnesses(ChaseContext& ctx, const PatternQuery& q,
+                            const QueryKey& key,
                             const std::vector<NodeId>& focus_nodes);
 
 /// GenRf (§5.3 + Appendix B): generates picky refinement operators. AddL

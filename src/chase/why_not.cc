@@ -120,12 +120,13 @@ WhyNotReport ExplainWhyNot(ChaseContext& ctx, NodeId entity) {
     cfg.accept = &accept;
     cfg.stop = &stop;
     cfg.evaluate = [&ctx, entity](PatternQuery&& query, OpSequence,
-                                  const engine::Proposal&) {
+                                  const engine::Proposal& prop) {
       engine::Judged j;
       auto eval = std::make_shared<EvalResult>();
       eval->query = std::move(query);
-      eval->satisfies_exemplar =
-          ctx.star_matcher().matcher().IsMatch(eval->query, entity);
+      eval->key = prop.key;
+      eval->satisfies_exemplar = ctx.star_matcher().matcher().IsMatch(
+          eval->query, eval->key, entity);
       j.eval = std::move(eval);
       return j;
     };

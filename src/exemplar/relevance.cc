@@ -33,22 +33,18 @@ RelevanceSets Classify(std::span<const NodeId> candidates,
   RelevanceSets sets;
   sets.num_candidates = candidates.size();
   size_t m = 0, r = 0;
-  for (NodeId v : candidates) {
-    while (m < matches.size() && matches[m] < v) ++m;
-    while (r < rep.nodes.size() && rep.nodes[r] < v) ++r;
-    const bool is_match = m < matches.size() && matches[m] == v;
-    const bool is_rep = r < rep.nodes.size() && rep.nodes[r] == v;
-    if (is_match && is_rep) {
-      sets.rm.push_back(v);
-      sets.rm_closeness_sum += rep.closeness[r];
-    } else if (is_match) {
-      sets.im.push_back(v);
-    } else if (is_rep) {
-      sets.rc.push_back(v);
+  while (m < matches.size() && r < rep.nodes.size()) {
+    if (matches[m] == rep.nodes[r]) {
+      sets.rm.push_back(matches[m++]);
+      sets.rm_closeness_sum += rep.closeness[r++];
+    } else if (matches[m] < rep.nodes[r]) {
+      sets.im.push_back(matches[m++]);
     } else {
-      sets.ic.push_back(v);
+      sets.rc.push_back(rep.nodes[r++]);
     }
   }
+  sets.im.insert(sets.im.end(), matches.begin() + m, matches.end());
+  sets.rc.insert(sets.rc.end(), rep.nodes.begin() + r, rep.nodes.end());
   return sets;
 }
 

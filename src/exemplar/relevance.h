@@ -20,9 +20,11 @@ enum class Relevance : uint8_t {
 const char* RelevanceName(Relevance r);
 
 /// Classification of every focus candidate, plus the §3 closeness measures
-/// derived from it.
+/// derived from it. The irrelevant candidates IC are every other candidate;
+/// nothing reads them as a list, so only their count is implied:
+/// num_candidates − |RM| − |IM| − |RC|.
 struct RelevanceSets {
-  std::vector<NodeId> rm, im, rc, ic;
+  std::vector<NodeId> rm, im, rc;
 
   /// Total candidate count |V_{u_o}| (the closeness normalizer).
   size_t num_candidates = 0;
@@ -50,9 +52,11 @@ struct RelevanceSets {
 };
 
 /// Classifies `candidates` (= V_{u_o}) against the answer `matches` (= Q(G))
-/// and the exemplar representation `rep`, in one merge: `candidates` and
-/// `matches` must be ascending (rep.nodes is). Each class keeps candidate
-/// order, and rm_closeness_sum adds rep.closeness in that order.
+/// and the exemplar representation `rep`, in one merge of `matches` and
+/// rep.nodes: both must be ascending (rep.nodes is) and lie inside
+/// `candidates`, which holds since operators never change a node label.
+/// Each class is ascending, and rm_closeness_sum adds rep.closeness in that
+/// order.
 RelevanceSets Classify(std::span<const NodeId> candidates,
                        std::span<const NodeId> matches, const RepResult& rep);
 

@@ -49,35 +49,16 @@ class BoundedBfs {
 
   /// Multi-source form: visits every node within `cap` undirected hops of
   /// some source, with its distance to the nearest one (sources at 0). Star
-  /// tables sweep the augmented focus edge this way from all viable centers.
+  /// tables sweep the augmented focus edge this way, from all viable centers
+  /// and from all focus candidates.
   template <typename Visit>
-  void Undirected(std::span<const NodeId> srcs, uint32_t cap, Visit&& visit) {
-    UndirectedSweep(srcs, cap, [&](NodeId w, uint32_t d) {
-      visit(w, d);
-      return false;
-    });
-  }
-
-  /// Whether some node within `cap` undirected hops of src (src included)
-  /// satisfies pred; the sweep stops at the first one in BFS order (a star
-  /// table's per-center focus probe).
-  template <typename Pred>
-  bool UndirectedAny(NodeId src, uint32_t cap, Pred&& pred) {
-    return UndirectedSweep(std::span<const NodeId>(&src, 1), cap,
-                           [&](NodeId w, uint32_t) { return pred(w); });
-  }
+  void Undirected(std::span<const NodeId> srcs, uint32_t cap, Visit&& visit);
 
   const Graph& graph() const { return g_; }
 
  private:
   template <bool kForward, typename Visit>
   void Sweep(NodeId src, uint32_t cap, Visit& visit);
-
-  /// Undirected BFS from every source at once; `visit(w, dist)` returns
-  /// true to stop the sweep, which then returns true.
-  template <typename Visit>
-  bool UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
-                       Visit&& visit);
 
   const Graph& g_;
   uint32_t epoch_ = 0;
@@ -111,8 +92,8 @@ void BoundedBfs::Sweep(NodeId src, uint32_t cap, Visit& visit) {
 }
 
 template <typename Visit>
-bool BoundedBfs::UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
-                                 Visit&& visit) {
+void BoundedBfs::Undirected(std::span<const NodeId> srcs, uint32_t cap,
+                            Visit&& visit) {
   ++epoch_;
   auto& mark = mark_fwd_;
   auto& dist = dist_fwd_;
@@ -126,7 +107,7 @@ bool BoundedBfs::UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const NodeId x = queue[head];
-    if (visit(x, dist[x])) return true;
+    visit(x, dist[x]);
     if (dist[x] >= cap) continue;
     for (auto neighbors : {g_.out(x), g_.in(x)}) {
       for (NodeId y : neighbors) {
@@ -137,7 +118,6 @@ bool BoundedBfs::UndirectedSweep(std::span<const NodeId> srcs, uint32_t cap,
       }
     }
   }
-  return false;
 }
 
 }  // namespace wqe

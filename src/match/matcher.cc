@@ -86,29 +86,42 @@ std::shared_ptr<const Matcher::MatchPlan> Matcher::BuildPlan(
       progress = true;
     }
   }
+  // Forward-check lists. A step's anchor is the focus or an earlier step's
+  // node. The step right after its anchor's step (and step 0, after the
+  // focus) is left out: the search looks up that ball next anyway.
+  for (uint32_t e = 0; e < plan->steps.size(); ++e) {
+    const QNodeId anchor = plan->steps[e].anchor;
+    if (anchor == q.focus()) {
+      if (e > 0) plan->focus_dependents.push_back(e);
+      continue;
+    }
+    for (uint32_t d = 0; d < e; ++d) {
+      if (plan->steps[d].node != anchor) continue;
+      if (e > d + 1) plan->steps[d].dependents.push_back(e);
+      break;
+    }
+  }
   return plan;
 }
 
-const Matcher::MatchPlan& Matcher::PlanFor(const PatternQuery& q) {
-  std::string fp = q.Fingerprint();
-  if (has_plan_ && fp == plan_fp_) {
+const Matcher::MatchPlan& Matcher::PlanFor(const PatternQuery& q,
+                                           const QueryKey& key) {
+  if (plan_cache_ != nullptr && key == plan_key_) {
     ++stats_.plan_cache_hits;
     return *plan_cache_;
   }
   if (shared_plans_ != nullptr) {
-    if (auto shared = shared_plans_->Lookup(fp)) {
+    if (auto shared = shared_plans_->Lookup(key)) {
       plan_cache_ = std::move(shared);
-      plan_fp_ = std::move(fp);
-      has_plan_ = true;
+      plan_key_ = key;
       ++stats_.plan_cache_hits;
       return *plan_cache_;
     }
   }
   auto built = BuildPlan(q);
-  if (shared_plans_ != nullptr) shared_plans_->Publish(fp, built);
+  if (shared_plans_ != nullptr) shared_plans_->Publish(key, built);
   plan_cache_ = std::move(built);
-  plan_fp_ = std::move(fp);
-  has_plan_ = true;
+  plan_key_ = key;
   ++stats_.plan_builds;
   return *plan_cache_;
 }
@@ -154,6 +167,17 @@ Matcher::BallSpan Matcher::Ball(const PatternQuery& q, const MatchPlan& plan,
   return it->second;
 }
 
+bool Matcher::Viable(const PatternQuery& q, const MatchPlan& plan,
+                     const std::vector<uint32_t>& dependents, NodeId v) {
+  for (const uint32_t e : dependents) {
+    if (Ball(q, plan, e, v).size == 0) {
+      ++stats_.forward_prunes;
+      return false;
+    }
+  }
+  return true;
+}
+
 bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
                      std::vector<NodeId>& assign, size_t limit, size_t& emitted,
                      const std::vector<const std::vector<NodeId>*>* allowed,
@@ -196,6 +220,9 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
       }
     }
     if (!ok) continue;
+    // Last, since it may sweep a ball: some later step anchored on v's node
+    // has nothing to draw from.
+    if (!Viable(q, plan, step.dependents, v)) continue;
     assign[step.node] = v;
     const bool keep_going =
         Extend(q, plan, depth + 1, assign, limit, emitted, allowed, cb);
@@ -206,37 +233,32 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
 }
 
 void Matcher::Valuations(
-    const PatternQuery& q, NodeId focus_match, size_t limit,
-    const std::function<bool(const std::vector<NodeId>&)>& cb) {
+    const PatternQuery& q, const QueryKey& key, NodeId focus_match,
+    size_t limit, const std::function<bool(const std::vector<NodeId>&)>& cb) {
   ++stats_.focus_verifications;
   const MatchPlan* plan = nullptr;
   if (use_pipeline_) {
-    plan = &PlanFor(q);
+    plan = &PlanFor(q, key);
     if (!plan->filters.at(q.focus()).Admits(g_.view(), focus_match)) return;
   } else {
     if (!IsCandidate(g_, q, q.focus(), focus_match)) return;
-    plan = &PlanFor(q);
+    plan = &PlanFor(q, key);
   }
   BeginProbe(*plan);
+  if (!Viable(q, *plan, plan->focus_dependents, focus_match)) return;
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = focus_match;
   size_t emitted = 0;
   Extend(q, *plan, 0, assign, limit, emitted, nullptr, cb);
 }
 
-bool Matcher::IsMatch(const PatternQuery& q, NodeId v) {
+bool Matcher::IsMatch(const PatternQuery& q, const QueryKey& key, NodeId v) {
   bool found = false;
-  Valuations(q, v, 1, [&](const std::vector<NodeId>&) {
+  Valuations(q, key, v, 1, [&](const std::vector<NodeId>&) {
     found = true;
     return false;
   });
   return found;
-}
-
-bool Matcher::IsMatchRestricted(
-    const PatternQuery& q, NodeId v,
-    const std::vector<const std::vector<NodeId>*>& allowed) {
-  return IsMatchRestricted(q, PlanFor(q), v, allowed);
 }
 
 bool Matcher::IsMatchRestricted(
@@ -253,6 +275,7 @@ bool Matcher::IsMatchRestricted(
     if (!std::binary_search(ok.begin(), ok.end(), v)) return false;
   }
   BeginProbe(plan);
+  if (!Viable(q, plan, plan.focus_dependents, v)) return false;
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = v;
   size_t emitted = 0;
@@ -265,7 +288,8 @@ bool Matcher::IsMatchRestricted(
   return found;
 }
 
-std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q) {
+std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q,
+                                             const QueryKey& key) {
   if (!use_pipeline_) {
     // Legacy interpreted scan; fed through the same funnel counters so the
     // ablation compares time, not accounting.
@@ -277,7 +301,7 @@ std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q) {
     stats_.candidates_filtered += out.size();
     return out;
   }
-  const MatchPlan& plan = PlanFor(q);
+  const MatchPlan& plan = PlanFor(q, key);
   std::vector<NodeId> out = match::ComputeCandidatesCompiled(
       g_, plan.filters.at(q.focus()), &stats_.candidates_seeded);
   stats_.candidates_filtered += out.size();
@@ -286,12 +310,13 @@ std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q) {
 
 std::vector<NodeId> Matcher::Answer(const PatternQuery& q, size_t num_threads) {
   WQE_SPAN("match.answer");
-  const std::vector<NodeId> candidates = FocusCandidates(q);
+  const QueryKey key = QueryKey::Of(q);
+  const std::vector<NodeId> candidates = FocusCandidates(q, key);
   std::vector<NodeId> out;
   const size_t threads = ResolveThreads(num_threads);
   if (threads <= 1 || candidates.size() <= 1) {
     for (NodeId v : candidates) {
-      if (IsMatch(q, v)) out.push_back(v);
+      if (IsMatch(q, key, v)) out.push_back(v);
     }
     return out;
   }
@@ -309,7 +334,7 @@ std::vector<NodeId> Matcher::Answer(const PatternQuery& q, size_t num_threads) {
   ParallelFor(threads, 0, candidates.size(), /*grain=*/8,
               [&](size_t i, size_t slot) {
                 Matcher& m = slot == 0 ? *this : workers.at(slot);
-                is_match[i] = m.IsMatch(q, candidates[i]) ? 1 : 0;
+                is_match[i] = m.IsMatch(q, key, candidates[i]) ? 1 : 0;
               });
   for (size_t slot = 1; slot < threads; ++slot) {
     if (Matcher* m = workers.created(slot)) stats_.Merge(m->stats());

@@ -28,6 +28,7 @@ struct MatchStats {
   uint64_t ball_hits = 0;            // Extend steps served by the ball memo
   uint64_t ball_fills = 0;           // filtered balls swept into the memo
   uint64_t ball_evictions = 0;       // whole-memo resets at the cell budget
+  uint64_t forward_prunes = 0;       // candidates cut by an empty later ball
 
   /// Folds another thread's counters into this one (ordered reductions after
   /// parallel verification; all counters are commutative sums).
@@ -41,6 +42,7 @@ struct MatchStats {
     ball_hits += other.ball_hits;
     ball_fills += other.ball_fills;
     ball_evictions += other.ball_evictions;
+    forward_prunes += other.forward_prunes;
   }
 };
 
@@ -53,6 +55,13 @@ struct MatchStats {
 /// new node draws its candidates from the bounded ball around an
 /// already-assigned pattern neighbor, then checks every other assigned
 /// neighbor through the distance index.
+///
+/// The search is forward-checked: a candidate v of node u is skipped when a
+/// later step anchored on u has an empty filtered ball around v, since that
+/// step could never be assigned below v (probe entry checks the steps
+/// anchored on the focus the same way). Only candidates that lead to no
+/// complete valuation are skipped and the plan order is kept, so verdicts
+/// and the order of enumerated valuations are those of the plain search.
 ///
 /// The filtered ball of a step depends only on the graph, the step node's
 /// filter, the anchor edge's bound and direction, and the anchor's match —
@@ -96,10 +105,12 @@ class Matcher {
   /// The focus candidate set V_{u_o}, sorted ascending: label-bucket seed +
   /// compiled predicate stage when the pipeline is on, the interpreted
   /// ComputeCandidates scan otherwise. Bumps candidates_seeded/_filtered.
-  std::vector<NodeId> FocusCandidates(const PatternQuery& q);
+  std::vector<NodeId> FocusCandidates(const PatternQuery& q,
+                                      const QueryKey& key);
 
-  /// Whether some valuation maps the focus to `v`.
-  bool IsMatch(const PatternQuery& q, NodeId v);
+  /// Whether some valuation maps the focus to `v`. `key` must be
+  /// QueryKey::Of(q).
+  bool IsMatch(const PatternQuery& q, const QueryKey& key, NodeId v);
 
   /// Identity of one step's candidate ball, up to the anchor's match: the
   /// step node's filter fingerprint, the anchor edge's bound and direction.
@@ -129,6 +140,9 @@ class Matcher {
       bool outgoing;  // true: edge node -> other
     };
     std::vector<Check> checks;
+    /// Later steps anchored on `node`: a candidate whose filtered ball is
+    /// empty for one of them is skipped (forward checking).
+    std::vector<uint32_t> dependents;
   };
 
   /// One compiled match plan: the BFS assignment order plus the per-node
@@ -136,30 +150,27 @@ class Matcher {
   /// immutably through SharedPlans.
   struct MatchPlan {
     std::vector<PlanStep> steps;
+    /// Steps anchored on the focus, checked once at probe entry.
+    std::vector<uint32_t> focus_dependents;
     match::QueryFilterPlans filters;
     /// Process-unique serial (never reused, 0 = none): lets a matcher keep
     /// its resolution of the steps' ball keys across the probes of a batch.
     uint64_t serial = 0;
   };
 
-  /// The plan for `q`, memoized by query fingerprint: Answer / star-view
-  /// verification run one IsMatch per focus candidate against the *same*
-  /// rewrite, so consecutive calls reuse one plan instead of rebuilding it.
-  /// Batch verifiers should hoist this call out of their candidate loop and
-  /// use the plan-taking IsMatchRestricted overload: the memo probe hashes
-  /// the query fingerprint, which is noise when repeated per candidate. The
-  /// reference stays valid until the next PlanFor call on this matcher.
-  const MatchPlan& PlanFor(const PatternQuery& q);
+  /// The plan for `q`, memoized by `key` (= QueryKey::Of(q), rendered once
+  /// by the caller): Answer / star-view verification run one probe per
+  /// focus candidate against the *same* rewrite, so consecutive calls reuse
+  /// one plan instead of rebuilding it. Batch verifiers hoist this call out
+  /// of their candidate loop and use IsMatchRestricted. The reference stays
+  /// valid until the next PlanFor call on this matcher.
+  const MatchPlan& PlanFor(const PatternQuery& q, const QueryKey& key);
 
   /// Like IsMatch, but restricts every query node u to `allowed[u]` when
-  /// that set is non-null — the hook star-view pruning uses.
-  bool IsMatchRestricted(
-      const PatternQuery& q, NodeId v,
-      const std::vector<const std::vector<NodeId>*>& allowed);
-
-  /// Same, against a plan the caller already holds (hoisted via PlanFor):
-  /// the per-candidate cost is the probe itself, no memo traffic. `plan`
-  /// must have been compiled for `q`.
+  /// that set is non-null — the hook star-view pruning uses. Runs against a
+  /// plan the caller already holds (hoisted via PlanFor): the per-candidate
+  /// cost is the probe itself, no memo traffic. `plan` must have been
+  /// compiled for `q`.
   bool IsMatchRestricted(
       const PatternQuery& q, const MatchPlan& plan, NodeId v,
       const std::vector<const std::vector<NodeId>*>& allowed);
@@ -167,9 +178,10 @@ class Matcher {
   /// Enumerates complete valuations with h(focus) = focus_match, invoking
   /// `cb` with the assignment (indexed by QNodeId; kInvalidNode on inactive
   /// nodes). Stops when cb returns false or `limit` valuations were emitted.
-  /// `cb` must not call back into this matcher: the enumeration walks spans
-  /// of the matcher's ball memo.
-  void Valuations(const PatternQuery& q, NodeId focus_match, size_t limit,
+  /// `key` must be QueryKey::Of(q). `cb` must not call back into this
+  /// matcher: the enumeration walks spans of the matcher's ball memo.
+  void Valuations(const PatternQuery& q, const QueryKey& key,
+                  NodeId focus_match, size_t limit,
                   const std::function<bool(const std::vector<NodeId>&)>& cb);
 
   MatchStats& stats() { return stats_; }
@@ -188,6 +200,11 @@ class Matcher {
     return use_pipeline_ ? plan.filters.at(u).Admits(g_.view(), v)
                          : IsCandidate(g_, q, u, v);
   }
+
+  /// Forward check: whether every step in `dependents` has a non-empty
+  /// filtered ball around `v` (bumps forward_prunes when one does not).
+  bool Viable(const PatternQuery& q, const MatchPlan& plan,
+              const std::vector<uint32_t>& dependents, NodeId v);
 
   bool Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
               std::vector<NodeId>& assign, size_t limit, size_t& emitted,
@@ -230,15 +247,14 @@ class Matcher {
   uint64_t resolved_plan_ = 0;  // serial whose keys step_slots_ holds
   std::vector<uint32_t> step_slots_;
 
-  // Single-entry plan memo keyed by query fingerprint. Holds a shared_ptr so
-  // a plan pulled from (or published to) the cross-matcher memo stays alive
-  // here even if the memo later drops it.
-  bool has_plan_ = false;
-  std::string plan_fp_;
+  // Single-entry plan memo keyed by rewrite key (null plan = empty). Holds a
+  // shared_ptr so a plan pulled from (or published to) the cross-matcher
+  // memo stays alive here even if the memo later drops it.
+  QueryKey plan_key_;
   std::shared_ptr<const MatchPlan> plan_cache_;
 };
 
-/// Cross-matcher match-plan memo keyed by query fingerprint. Plans — the
+/// Cross-matcher match-plan memo keyed by rewrite key. Plans — the
 /// assignment order plus the compiled per-node filters — are pure functions
 /// of the (rewritten) pattern, so every matcher touching the same shape —
 /// across requests, threads, and worker shards — can reuse one immutable
@@ -271,18 +287,18 @@ class Matcher::SharedPlans {
  private:
   friend class Matcher;
 
-  std::shared_ptr<const MatchPlan> Lookup(const std::string& fp) {
+  std::shared_ptr<const MatchPlan> Lookup(const QueryKey& key) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(fp);
+    auto it = plans_.find(key);
     if (it == plans_.end()) return nullptr;
     ++hits_;
     return it->second;
   }
 
-  void Publish(const std::string& fp, std::shared_ptr<const MatchPlan> plan) {
+  void Publish(const QueryKey& key, std::shared_ptr<const MatchPlan> plan) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (plans_.size() >= max_plans_ && plans_.find(fp) == plans_.end()) return;
-    auto [it, inserted] = plans_.emplace(fp, std::move(plan));
+    if (plans_.size() >= max_plans_ && plans_.find(key) == plans_.end()) return;
+    auto [it, inserted] = plans_.emplace(key, std::move(plan));
     (void)it;
     if (inserted) ++publishes_;  // first publisher wins; racers reuse theirs
   }
@@ -291,7 +307,9 @@ class Matcher::SharedPlans {
   size_t max_plans_;
   uint64_t hits_ = 0;
   uint64_t publishes_ = 0;
-  std::unordered_map<std::string, std::shared_ptr<const MatchPlan>> plans_;
+  std::unordered_map<QueryKey, std::shared_ptr<const MatchPlan>,
+                     QueryKey::Hash>
+      plans_;
 };
 
 }  // namespace wqe

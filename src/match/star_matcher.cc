@@ -57,7 +57,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
     c_tables_built_ = c_candidates_ = c_verified_ = nullptr;
     c_plan_compiles_ = c_plan_hits_ = nullptr;
     c_stage_seeded_ = c_stage_filtered_ = c_stage_verified_ = nullptr;
-    c_ball_hits_ = c_ball_fills_ = nullptr;
+    c_ball_hits_ = c_ball_fills_ = c_forward_prunes_ = nullptr;
     return;
   }
   c_tables_built_ = &o->metrics.counter("match.tables_built");
@@ -70,6 +70,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
   c_stage_verified_ = &o->metrics.counter("match.stage.verified");
   c_ball_hits_ = &o->metrics.counter("match.ball.hits");
   c_ball_fills_ = &o->metrics.counter("match.ball.fills");
+  c_forward_prunes_ = &o->metrics.counter("match.forward_prunes");
   // Registry deltas start from the matcher's current totals so re-attaching
   // a scope never replays activity observed by a previous one.
   plan_builds_seen_ = matcher_.stats().plan_builds;
@@ -78,6 +79,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
   stage_filtered_seen_ = matcher_.stats().candidates_filtered;
   ball_hits_seen_ = matcher_.stats().ball_hits;
   ball_fills_seen_ = matcher_.stats().ball_fills;
+  forward_prunes_seen_ = matcher_.stats().forward_prunes;
 }
 
 void StarMatcher::FlushPlanCounters() {
@@ -89,23 +91,26 @@ void StarMatcher::FlushPlanCounters() {
   c_stage_filtered_->Inc(s.candidates_filtered - stage_filtered_seen_);
   c_ball_hits_->Inc(s.ball_hits - ball_hits_seen_);
   c_ball_fills_->Inc(s.ball_fills - ball_fills_seen_);
+  c_forward_prunes_->Inc(s.forward_prunes - forward_prunes_seen_);
   plan_builds_seen_ = s.plan_builds;
   plan_hits_seen_ = s.plan_cache_hits;
   stage_seeded_seen_ = s.candidates_seeded;
   stage_filtered_seen_ = s.candidates_filtered;
   ball_hits_seen_ = s.ball_hits;
   ball_fills_seen_ = s.ball_fills;
+  forward_prunes_seen_ = s.forward_prunes;
 }
 
-match::CandidateSet StarMatcher::FocusCandidates(const PatternQuery& q) {
+match::CandidateSet StarMatcher::FocusCandidates(const PatternQuery& q,
+                                                 const QueryKey& key) {
   match::CandidateSet set =
-      match::CandidateSet::FromSorted(matcher_.FocusCandidates(q));
+      match::CandidateSet::FromSorted(matcher_.FocusCandidates(q, key));
   FlushPlanCounters();
   return set;
 }
 
 std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
-    const PatternQuery& q, const StarEvalState* reuse,
+    const PatternQuery& q, const QueryKey& key, const StarEvalState* reuse,
     bool materialize_missing) {
   WQE_SPAN("match.stars");
   auto state = std::make_shared<StarEvalState>();
@@ -115,7 +120,7 @@ std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
   // Resolved lazily on the first table build: the rewrite's compiled filters
   // from the plan memo, shared by every star materialized this evaluation.
   // The reference stays valid for the whole loop — q is fixed here, so later
-  // PlanFor(q) calls are hits against the same memo entry.
+  // PlanFor calls are hits against the same memo entry.
   const match::QueryFilterPlans* plans = nullptr;
   for (const StarQuery& star : state->stars) {
     // Between stars; the materializer checks inside its row loop too.
@@ -146,7 +151,7 @@ std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
     }
     if (table == nullptr && materialize_missing) {
       if (use_pipeline_ && plans == nullptr) {
-        plans = &matcher_.PlanFor(q).filters;
+        plans = &matcher_.PlanFor(q, key).filters;
       }
       table = materializer_.Materialize(q, star, plans);
       ++stats_.tables_built;
@@ -181,7 +186,7 @@ std::vector<std::optional<std::vector<NodeId>>> StarMatcher::AllowedSets(
 }
 
 std::vector<NodeId> StarMatcher::VerifyCandidates(
-    const PatternQuery& q, std::vector<NodeId> candidates,
+    const PatternQuery& q, const QueryKey& key, std::vector<NodeId> candidates,
     const std::vector<std::optional<std::vector<NodeId>>>& allowed_sets,
     const std::function<double(NodeId)>* priority) {
   std::vector<const std::vector<NodeId>*> allowed(q.num_nodes(), nullptr);
@@ -206,8 +211,8 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
   std::vector<NodeId> matches;
   // One plan resolution for the whole batch: every candidate below probes
   // the same rewrite, so the per-candidate cost is the match check itself,
-  // not a repeated fingerprint hash into the plan memo.
-  const Matcher::MatchPlan& plan = matcher_.PlanFor(q);
+  // not a repeated memo probe.
+  const Matcher::MatchPlan& plan = matcher_.PlanFor(q, key);
   // Each verification is a full (bounded) match check, so an armed deadline
   // is consulted every kDeadlineCheckStride candidates — the overshoot is a
   // stride of match checks, not the whole candidate list. Matches found
@@ -260,10 +265,12 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
 }
 
 StarMatcher::Evaluation StarMatcher::Evaluate(
-    const PatternQuery& q, const std::function<double(NodeId)>* priority) {
+    const PatternQuery& q, const QueryKey& key,
+    const std::function<double(NodeId)>* priority) {
   ++stats_.evaluations;
   Evaluation eval;
-  eval.state = ResolveTables(q, /*reuse=*/nullptr, /*materialize_missing=*/true);
+  eval.state = ResolveTables(q, key, /*reuse=*/nullptr,
+                             /*materialize_missing=*/true);
 
   const auto allowed_sets = AllowedSets(q, *eval.state);
 
@@ -272,12 +279,12 @@ StarMatcher::Evaluation StarMatcher::Evaluate(
     // Star pruning already produced the selection vector; no bucket seed.
     candidates = *allowed_sets[q.focus()];
   } else {
-    candidates = FocusCandidates(q).Take();
+    candidates = FocusCandidates(q, key).Take();
   }
   stats_.focus_candidates += candidates.size();
   if (c_candidates_ != nullptr) c_candidates_->Inc(candidates.size());
 
-  eval.matches = VerifyCandidates(q, std::move(candidates), allowed_sets,
+  eval.matches = VerifyCandidates(q, key, std::move(candidates), allowed_sets,
                                   priority);
   return eval;
 }

@@ -91,17 +91,29 @@ class StarMatcher {
     std::shared_ptr<const StarEvalState> state;
   };
 
+  // Every entry point below takes the rewrite's key (= QueryKey::Of(q)),
+  // which the chase renders once per rewrite; the short forms without one
+  // render it themselves, once per call.
+
   /// Evaluates Q(G). `priority` (optional) orders candidate verification
   /// descending — pass cl(v, ℰ) to verify exemplar-close candidates first.
-  Evaluation Evaluate(const PatternQuery& q,
+  Evaluation Evaluate(const PatternQuery& q, const QueryKey& key,
                       const std::function<double(NodeId)>* priority = nullptr);
+  Evaluation Evaluate(const PatternQuery& q,
+                      const std::function<double(NodeId)>* priority = nullptr) {
+    return Evaluate(q, QueryKey::Of(q), priority);
+  }
 
   /// The focus candidate set V_{u_o} as a pipeline selection vector:
   /// label-bucket seed + compiled predicate stage (or the interpreted scan
   /// when the pipeline is off). Bumps the match.stage.seeded/filtered
   /// funnel; the delta evaluation path's relax step consumes this instead of
   /// reaching into the candidate scan itself.
-  match::CandidateSet FocusCandidates(const PatternQuery& q);
+  match::CandidateSet FocusCandidates(const PatternQuery& q,
+                                      const QueryKey& key);
+  match::CandidateSet FocusCandidates(const PatternQuery& q) {
+    return FocusCandidates(q, QueryKey::Of(q));
+  }
 
   /// Decomposes `q` and resolves one table per star. Resolution order per
   /// star: (1) a table in `reuse` under the same signature — free, counted as
@@ -111,8 +123,13 @@ class StarMatcher {
   /// null instead (sound for refine-only re-verification: absent tables only
   /// weaken pruning, never correctness).
   std::shared_ptr<const StarEvalState> ResolveTables(
-      const PatternQuery& q, const StarEvalState* reuse,
+      const PatternQuery& q, const QueryKey& key, const StarEvalState* reuse,
       bool materialize_missing);
+  std::shared_ptr<const StarEvalState> ResolveTables(
+      const PatternQuery& q, const StarEvalState* reuse,
+      bool materialize_missing) {
+    return ResolveTables(q, QueryKey::Of(q), reuse, materialize_missing);
+  }
 
   /// Per-query-node allowed sets from `state`'s tables: the intersection of
   /// each node's role occurrences (center / spoke / augmented focus) across
@@ -127,9 +144,17 @@ class StarMatcher {
   /// sharded over workers when num_threads > 1. Returns the verified subset
   /// sorted ascending and bumps focus_verified / the registry counter.
   std::vector<NodeId> VerifyCandidates(
-      const PatternQuery& q, std::vector<NodeId> candidates,
+      const PatternQuery& q, const QueryKey& key,
+      std::vector<NodeId> candidates,
       const std::vector<std::optional<std::vector<NodeId>>>& allowed,
       const std::function<double(NodeId)>* priority);
+  std::vector<NodeId> VerifyCandidates(
+      const PatternQuery& q, std::vector<NodeId> candidates,
+      const std::vector<std::optional<std::vector<NodeId>>>& allowed,
+      const std::function<double(NodeId)>* priority) {
+    return VerifyCandidates(q, QueryKey::Of(q), std::move(candidates),
+                            allowed, priority);
+  }
 
   StarEvalStats& stats() { return stats_; }
   Matcher& matcher() { return matcher_; }
@@ -137,7 +162,8 @@ class StarMatcher {
  private:
   /// Mirrors the primary matcher's pipeline deltas since the last flush into
   /// the registry: plan-memo traffic (match.plan.*), ball-memo traffic
-  /// (match.ball.*) and the candidate-funnel stage counts
+  /// (match.ball.*), forward-check cuts (match.forward_prunes) and the
+  /// candidate-funnel stage counts
   /// (match.stage.seeded/.filtered — table builds and focus scans both
   /// accumulate into the matcher's stats).
   void FlushPlanCounters();
@@ -165,6 +191,7 @@ class StarMatcher {
   obs::Counter* c_stage_verified_ = nullptr;
   obs::Counter* c_ball_hits_ = nullptr;
   obs::Counter* c_ball_fills_ = nullptr;
+  obs::Counter* c_forward_prunes_ = nullptr;
   // Stats snapshots behind the registry deltas (counters are monotone).
   uint64_t plan_builds_seen_ = 0;
   uint64_t plan_hits_seen_ = 0;
@@ -172,6 +199,7 @@ class StarMatcher {
   uint64_t stage_filtered_seen_ = 0;
   uint64_t ball_hits_seen_ = 0;
   uint64_t ball_fills_seen_ = 0;
+  uint64_t forward_prunes_seen_ = 0;
 };
 
 }  // namespace wqe

@@ -23,6 +23,9 @@ struct StarMaterializer::SpokeHits {
 
 namespace {
 
+/// Bound on the NearFocus memo: |V| bits per entry.
+constexpr size_t kMaxNearFocusSweeps = 64;
+
 void SortUnique(std::vector<NodeId>& nodes) {
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
@@ -37,10 +40,36 @@ bool StarMaterializer::Admits(const PatternQuery& q,
                           : IsCandidate(g_, q, u, w);
 }
 
+const std::vector<bool>& StarMaterializer::NearFocus(
+    const PatternQuery& q, uint32_t bound,
+    const match::QueryFilterPlans* plans) {
+  const QNodeId focus = q.focus();
+  std::string key = plans != nullptr
+                        ? plans->at(focus).fingerprint()
+                        : match::FilterPlan::NodeFingerprint(q.node(focus));
+  key += '@';
+  key += std::to_string(bound);
+  if (auto it = near_focus_.find(key); it != near_focus_.end()) {
+    return it->second;
+  }
+  if (near_focus_.size() >= kMaxNearFocusSweeps) near_focus_.clear();
+  // Candidate enumeration only: no funnel counters, these are not centers.
+  const std::vector<NodeId> sources =
+      plans != nullptr
+          ? match::ComputeCandidatesCompiled(g_, plans->at(focus))
+          : ComputeCandidates(g_, q, focus);
+  std::vector<bool> near(g_.num_nodes(), false);
+  bfs_.Undirected(std::span<const NodeId>(sources), bound,
+                  [&](NodeId w, uint32_t) { near[w] = true; });
+  return near_focus_.emplace(std::move(key), std::move(near)).first->second;
+}
+
 bool StarMaterializer::SweepCenter(const PatternQuery& q, const StarQuery& star,
                                    NodeId c, BoundedBfs& bfs,
                                    const match::QueryFilterPlans* plans,
+                                   const std::vector<bool>* near_focus,
                                    SpokeHits& hits) const {
+  if (near_focus != nullptr && !(*near_focus)[c]) return false;
   // Spokes are swept per center: a spoke's occurrences are the matches in
   // the ball of a *viable* center, excluding that center only. One sweep
   // from all centers would see a center that lies in another's spoke ball at
@@ -56,14 +85,6 @@ bool StarMaterializer::SweepCenter(const PatternQuery& q, const StarQuery& star,
         [&](NodeId w) { hits.row.push_back(w); });
     if (hits.row.size() == begin) return false;
     hits.ends.push_back(hits.row.size());
-  }
-
-  const auto admits_focus = [&](NodeId w) {
-    return Admits(q, plans, q.focus(), w);
-  };
-  if (!star.contains_focus && star.aug_bound > 0 &&
-      !bfs.UndirectedAny(c, star.aug_bound, admits_focus)) {
-    return false;
   }
 
   size_t begin = 0;
@@ -116,13 +137,18 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
   // a whole table. In the parallel path ParallelFor abandons the remaining
   // blocks and rethrows the DeadlineExceeded on this thread; the half-built
   // table is discarded here and never reaches the view cache.
+  const std::vector<bool>* near_focus =
+      !star.contains_focus && star.aug_bound > 0 && !centers.empty()
+          ? &NearFocus(q, star.aug_bound, plans_ptr)
+          : nullptr;
   const size_t threads = ResolveThreads(num_threads_);
   std::vector<uint8_t> viable(centers.size(), 0);
   if (threads <= 1 || centers.size() <= 1) {
     SpokeHits hits(star.spokes.size());
     for (size_t i = 0; i < centers.size(); ++i) {
       MaybeThrowIfExpired(deadline_, i);
-      viable[i] = SweepCenter(q, star, centers[i], bfs_, plans_ptr, hits);
+      viable[i] = SweepCenter(q, star, centers[i], bfs_, plans_ptr,
+                              near_focus, hits);
     }
     table->spoke_occ_ = std::move(hits.per_spoke);
   } else {
@@ -139,7 +165,7 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
                   MaybeThrowIfExpired(deadline_, i);
                   BoundedBfs& bfs = slot == 0 ? bfs_ : scratch.at(slot);
                   viable[i] = SweepCenter(q, star, centers[i], bfs, plans_ptr,
-                                          hits.at(slot));
+                                          near_focus, hits.at(slot));
                 });
     for (size_t slot = 0; slot < threads; ++slot) {
       const SpokeHits* h = hits.created(slot);
@@ -156,14 +182,11 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
     if (viable[i]) table->center_occ_.push_back(centers[i]);
   }
 
-  // Focus occurrences: the center itself, the focus spoke, or the focus
-  // candidates within the augmented bound of some viable center — one
-  // multi-source sweep from all of them, centers included.
-  if (star.center == q.focus()) {
-    table->focus_occ_ = table->center_occ_;
-  } else if (star.focus_spoke >= 0) {
-    table->focus_occ_ = table->spoke_occ_[static_cast<size_t>(star.focus_spoke)];
-  } else if (!star.contains_focus && star.aug_bound > 0) {
+  // Focus occurrences of an augmented star: the focus candidates within the
+  // augmented bound of some viable center — one multi-source sweep from all
+  // of them, centers included. The center and the focus spoke serve the
+  // other shapes' focus role as they are.
+  if (table->OwnsFocusOccurrences() && star.aug_bound > 0) {
     auto& focus_occ = table->focus_occ_;
     bfs_.Undirected(std::span<const NodeId>(table->center_occ_),
                     star.aug_bound, [&](NodeId w, uint32_t) {

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/timer.h"
@@ -36,8 +38,15 @@ class StarTable {
   /// Focus occurrences (sorted, unique): the viable centers when the center
   /// is the focus, the focus spoke's occurrences, or else every focus
   /// candidate within the augmented bound of some viable center (none when
-  /// the bound is 0).
-  const std::vector<NodeId>& focus_occurrences() const { return focus_occ_; }
+  /// the bound is 0). The first two are served from the set they equal, so
+  /// the table, EntryCount and the star-views file hold them once.
+  const std::vector<NodeId>& focus_occurrences() const {
+    if (star_.center == focus_) return center_occ_;
+    if (star_.focus_spoke >= 0) {
+      return spoke_occ_[static_cast<size_t>(star_.focus_spoke)];
+    }
+    return focus_occ_;
+  }
 
   /// Whether `v` is a focus occurrence — the delta evaluation path's
   /// per-candidate probe (chase/delta_eval): a refine-only re-verification
@@ -47,7 +56,8 @@ class StarTable {
   /// disengaged (sparse occurrences over a huge id range).
   bool ContainsFocusOccurrence(NodeId v) const {
     if (focus_bits_.engaged()) return focus_bits_.Test(v);
-    return std::binary_search(focus_occ_.begin(), focus_occ_.end(), v);
+    const std::vector<NodeId>& occ = focus_occurrences();
+    return std::binary_search(occ.begin(), occ.end(), v);
   }
 
   /// The viable centers (sorted, unique). Tables are addressed by *role*
@@ -72,21 +82,27 @@ class StarTable {
   friend class StarMaterializer;
   friend class store::Serde;  // binary snapshot encode/decode
 
-  /// (Re)derives the focus bitset from focus_occ_. Called after the
-  /// occurrence sets settle — by the materializer and by snapshot decode, so
-  /// heap-built and store-loaded tables probe identically. The memory cap
-  /// keeps the bitset within a small factor of the occurrence vector.
+  /// Whether the focus role has a set of its own (an augmented star, or a
+  /// star without focus): focus_occ_ is stored only then.
+  bool OwnsFocusOccurrences() const {
+    return star_.center != focus_ && star_.focus_spoke < 0;
+  }
+
+  /// (Re)derives the focus bitset from the focus occurrences. Called after
+  /// the occurrence sets settle — by the materializer and by snapshot
+  /// decode, so heap-built and store-loaded tables probe identically. The
+  /// memory cap keeps the bitset within a small factor of the occurrences.
   void RebuildFocusBits() {
-    focus_bits_.Assign(focus_occ_,
-                       std::max<size_t>(256, focus_occ_.size()));
+    const std::vector<NodeId>& occ = focus_occurrences();
+    focus_bits_.Assign(occ, std::max<size_t>(256, occ.size()));
   }
 
   StarQuery star_;
   QNodeId focus_;
-  std::vector<NodeId> focus_occ_;
+  std::vector<NodeId> focus_occ_;  // empty unless OwnsFocusOccurrences()
   std::vector<NodeId> center_occ_;
   std::vector<std::vector<NodeId>> spoke_occ_;  // parallel to star_.spokes
-  match::RangeBitset focus_bits_;  // derived from focus_occ_, not serialized
+  match::RangeBitset focus_bits_;  // derived, not serialized
 };
 
 /// Builds star tables against a fixed graph. Holds BFS scratch; concurrent
@@ -125,6 +141,13 @@ class StarMaterializer {
   /// bound. `plans`, when non-null, supplies `q`'s already-compiled filters
   /// (the matcher's plan memo holds them per rewrite); null compiles a local
   /// set — only relevant with the pipeline on.
+  ///
+  /// The augmented test is one lookup per center: the nodes within
+  /// aug_bound undirected hops of some focus candidate come from a single
+  /// multi-source sweep out of the focus candidates, run before the centers
+  /// fan out and memoized per (focus filter, aug_bound) for this builder's
+  /// lifetime. Undirected distance is symmetric and the sources count, so a
+  /// center is marked exactly when a focus candidate lies within the bound.
   std::shared_ptr<const StarTable> Materialize(
       const PatternQuery& q, const StarQuery& star,
       const match::QueryFilterPlans* plans = nullptr);
@@ -139,13 +162,19 @@ class StarMaterializer {
   bool Admits(const PatternQuery& q, const match::QueryFilterPlans* plans,
               QNodeId u, NodeId w) const;
 
-  /// Sweeps center candidate `c`: one ball per spoke, then for an augmented
-  /// star an early-exit probe for a focus candidate in range. Returns
-  /// whether `c` is viable; only a viable center's spoke matches are added
-  /// to `hits`.
+  /// The memoized focus-proximity marks for `q`'s focus filter and `bound`
+  /// (indexed by NodeId; true = within `bound` undirected hops of a focus
+  /// candidate). The reference stays valid until the next call.
+  const std::vector<bool>& NearFocus(const PatternQuery& q, uint32_t bound,
+                                     const match::QueryFilterPlans* plans);
+
+  /// Sweeps center candidate `c`: for an augmented star, first its
+  /// focus-proximity mark (`near_focus`, null otherwise), then one ball per
+  /// spoke. Returns whether `c` is viable; only a viable center's spoke
+  /// matches are added to `hits`.
   bool SweepCenter(const PatternQuery& q, const StarQuery& star, NodeId c,
                    BoundedBfs& bfs, const match::QueryFilterPlans* plans,
-                   SpokeHits& hits) const;
+                   const std::vector<bool>* near_focus, SpokeHits& hits) const;
 
   const Graph& g_;
   BoundedBfs bfs_;
@@ -153,6 +182,9 @@ class StarMaterializer {
   bool use_pipeline_ = true;
   MatchStats* stats_ = nullptr;
   const Deadline* deadline_ = nullptr;
+  /// NearFocus memo, keyed by the focus filter's fingerprint and the bound;
+  /// reset whole once it holds kMaxNearFocusSweeps entries.
+  std::unordered_map<std::string, std::vector<bool>> near_focus_;
 };
 
 }  // namespace wqe

@@ -21,6 +21,7 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "cache.misses",
     "chase.bound_cuts",
     "chase.evaluations",
+    "chase.fingerprint_renders",
     "chase.memo_hits",
     "chase.ops_generated",
     "chase.pruned",
@@ -34,6 +35,7 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "match.ball.hits",
     "match.focus_candidates",
     "match.focus_verified",
+    "match.forward_prunes",
     "match.plan.compiles",
     "match.plan.hits",
     "match.stage.filtered",

@@ -1,6 +1,7 @@
 #include "query/query.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <sstream>
 
@@ -164,26 +165,46 @@ QueryShape PatternQuery::Shape() const {
 
 std::string PatternQuery::Fingerprint() const {
   auto mask = ActiveMask();
-  std::ostringstream out;
-  out << "f" << focus_ << ';';
+  std::string out = "f";
+  out += std::to_string(focus_);
+  out += ';';
+  std::vector<std::string> keys;
   for (QNodeId u = 0; u < nodes_.size(); ++u) {
     if (!mask[u]) continue;
-    out << 'n' << u << ':' << nodes_[u].label << '[';
-    std::vector<std::string> lits;
-    for (const Literal& l : nodes_[u].literals) lits.push_back(LiteralKey(l));
-    std::sort(lits.begin(), lits.end());
-    for (const auto& l : lits) out << l << '|';
-    out << ']';
+    out += 'n';
+    out += std::to_string(u);
+    out += ':';
+    out += std::to_string(nodes_[u].label);
+    out += '[';
+    keys.clear();
+    for (const Literal& l : nodes_[u].literals) keys.push_back(LiteralKey(l));
+    std::sort(keys.begin(), keys.end());
+    for (const auto& l : keys) {
+      out += l;
+      out += '|';
+    }
+    out += ']';
   }
-  std::vector<std::string> edge_keys;
+  keys.clear();
   for (const QueryEdge& e : edges_) {
     if (!mask[e.from] || !mask[e.to]) continue;
-    edge_keys.push_back(std::to_string(e.from) + ">" + std::to_string(e.to) +
-                        "@" + std::to_string(e.bound));
+    keys.push_back(std::to_string(e.from) + ">" + std::to_string(e.to) + "@" +
+                   std::to_string(e.bound));
   }
-  std::sort(edge_keys.begin(), edge_keys.end());
-  for (const auto& e : edge_keys) out << 'e' << e << ';';
-  return out.str();
+  std::sort(keys.begin(), keys.end());
+  for (const auto& e : keys) {
+    out += 'e';
+    out += e;
+    out += ';';
+  }
+  return out;
+}
+
+QueryKey QueryKey::Of(const PatternQuery& q) {
+  QueryKey key;
+  key.text = q.Fingerprint();
+  key.hash = std::hash<std::string>{}(key.text);
+  return key;
 }
 
 std::string PatternQuery::ToString(const Schema& schema) const {

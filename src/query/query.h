@@ -125,7 +125,8 @@ class PatternQuery {
   QueryShape Shape() const;
 
   /// Canonical serialization of the active pattern; equal fingerprints mean
-  /// equal rewrites (used to dedupe Q-Chase search states).
+  /// equal rewrites (used to dedupe Q-Chase search states). Hot paths take
+  /// a QueryKey rendered once instead of calling this per lookup.
   std::string Fingerprint() const;
 
   std::string ToString(const Schema& schema) const;
@@ -134,6 +135,30 @@ class PatternQuery {
   std::vector<QueryNode> nodes_;
   std::vector<QueryEdge> edges_;
   QNodeId focus_ = 0;
+};
+
+/// A rewrite's canonical identity: its Fingerprint() rendered once, plus a
+/// fixed-width hash of that text. The chase renders the key when a rewrite
+/// is materialized and carries it to every memo keyed by rewrite (the
+/// engine's dedup table, the context's match memo, the matcher's plan
+/// memos). Equality compares hashes first and the full text whenever they
+/// agree, so no lookup can depend on a hash collision.
+struct QueryKey {
+  std::string text;   // PatternQuery::Fingerprint(), byte for byte
+  uint64_t hash = 0;  // std::hash of `text`
+
+  /// Renders `q`'s fingerprint (the only cost of a key) and hashes it.
+  static QueryKey Of(const PatternQuery& q);
+
+  friend bool operator==(const QueryKey& a, const QueryKey& b) {
+    return a.hash == b.hash && a.text == b.text;
+  }
+
+  struct Hash {
+    size_t operator()(const QueryKey& k) const {
+      return static_cast<size_t>(k.hash);
+    }
+  };
 };
 
 }  // namespace wqe

@@ -27,10 +27,11 @@ namespace fs = std::filesystem;
 constexpr uint64_t kBuilderRev = 1;
 
 /// The star-views file's own builder revision. Rev 2 stores each table as
-/// its role occurrence sets only (rev 1 also held per-center rows), so a
-/// rev-1 file fails the params check and is rebuilt, while bundle.wqes,
-/// keyed by kBuilderRev, stays valid.
-constexpr uint64_t kStarViewsRev = 2;
+/// its role occurrence sets only (rev 1 also held per-center rows); rev 3
+/// drops the focus set of a focus-centered or focus-spoke star, which is
+/// the center or spoke set. An older file fails the params check and is
+/// rebuilt, while bundle.wqes, keyed by kBuilderRev, stays valid.
+constexpr uint64_t kStarViewsRev = 3;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(

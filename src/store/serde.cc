@@ -176,7 +176,8 @@ void Serde::EncodeStarTable(const StarTable& t, Writer& w) {
   w.U32(star.aug_bound);
   w.U32(t.focus_);
 
-  w.PodVec(t.focus_occ_);
+  // A focus role that aliases the center or a spoke set is not repeated.
+  if (t.OwnsFocusOccurrences()) w.PodVec(t.focus_occ_);
   w.PodVec(t.center_occ_);
   for (const auto& occ : t.spoke_occ_) w.PodVec(occ);
 }
@@ -212,8 +213,9 @@ Status Serde::DecodeStarTable(Reader& r, size_t num_nodes,
 
   auto table = std::make_shared<StarTable>(std::move(star), focus);
   table->spoke_occ_.resize(num_spokes);
-  std::vector<std::vector<NodeId>*> sets = {&table->focus_occ_,
-                                            &table->center_occ_};
+  std::vector<std::vector<NodeId>*> sets;
+  if (table->OwnsFocusOccurrences()) sets.push_back(&table->focus_occ_);
+  sets.push_back(&table->center_occ_);
   for (auto& occ : table->spoke_occ_) sets.push_back(&occ);
   for (std::vector<NodeId>* occ : sets) {
     if (Status s = r.PodVec(occ); !s.ok()) return s;

@@ -211,7 +211,8 @@ TEST_P(SatisfiesExemplarTest, VerdictEqualsComputeRepOverTheMatches) {
         ops.Append(op);
         const auto eval = walk % 2 == 0
                               ? ctx.Evaluate(q, ops)
-                              : delta.Evaluate(q, ops, node.eval.get(), {op});
+                              : delta.Evaluate(q, QueryKey::Of(q), ops,
+                                               node.eval.get(), {op});
         EXPECT_EQ(eval->satisfies_exemplar, truth(eval->matches))
             << spec.name << " walk " << walk << " step " << step << "\n"
             << question.exemplar.ToString(g.schema());

@@ -335,7 +335,8 @@ TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
       ++tried;
       OpSequence ops;
       ops.Append(scored.op);
-      auto eval = delta.Evaluate(child, ops, ctx->root().get(), {scored.op});
+      auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
+                                 ctx->root().get(), {scored.op});
       EXPECT_EQ(eval->matches, reference.Answer(child))
           << "seed=" << seed << " op=" << scored.op.ToString(g.schema());
       // The delta result must also agree byte-for-byte with the full path.
@@ -378,7 +379,8 @@ TEST(DeltaEvalTest, MultiOpRelaxPayloadMatchesOracle) {
     ops.Append(relaxes[0]);
     ops.Append(relaxes[1]);
     const uint64_t hits_before = Counter(*ctx, "delta_eval.hits");
-    auto eval = delta.Evaluate(child, ops, ctx->root().get(), relaxes);
+    auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
+                               ctx->root().get(), relaxes);
     EXPECT_EQ(eval->matches, reference.Answer(child)) << "seed=" << seed;
     // A same-polarity payload is provably local: no fallback.
     EXPECT_EQ(Counter(*ctx, "delta_eval.hits"), hits_before + 1);
@@ -408,7 +410,8 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   OpSequence focus_ops;
   focus_ops.Append(focus_op);
   auto focus_eval =
-      delta.Evaluate(focus_child, focus_ops, ctx->root().get(), {focus_op});
+      delta.Evaluate(focus_child, QueryKey::Of(focus_child), focus_ops,
+                     ctx->root().get(), {focus_op});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb);
   EXPECT_EQ(Counter(*ctx, "delta_eval.hits"), hits + 1);
   EXPECT_EQ(focus_eval->matches, reference.Answer(focus_child));
@@ -431,8 +434,8 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   OpSequence mixed_ops;
   mixed_ops.Append(add);
   mixed_ops.Append(rm);
-  auto mixed_eval = delta.Evaluate(mixed_child, mixed_ops, ctx->root().get(),
-                                   {add, rm});
+  auto mixed_eval = delta.Evaluate(mixed_child, QueryKey::Of(mixed_child),
+                                   mixed_ops, ctx->root().get(), {add, rm});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(mixed_eval->matches, reference.Answer(mixed_child));
 
@@ -442,13 +445,14 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   add_ops.Append(add);
   PatternQuery add_child = q;
   ASSERT_TRUE(Apply(add, &add_child, ctx->options().max_bound));
-  auto orphan = delta.Evaluate(add_child, add_ops, nullptr, {add});
+  auto orphan = delta.Evaluate(add_child, QueryKey::Of(add_child), add_ops,
+                               nullptr, {add});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(orphan->matches, reference.Answer(add_child));
 
   // An empty payload cannot be classified: fallback.
   fb = Counter(*ctx, "delta_eval.full_fallbacks");
-  auto empty = delta.Evaluate(q, OpSequence(), ctx->root().get(), {});
+  auto empty = delta.Evaluate(q, QueryKey::Of(q), OpSequence(), ctx->root().get(), {});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(empty->matches, ctx->root()->matches);
 }
@@ -551,7 +555,8 @@ TEST(DeltaEvalTest, RefineDeltaReusesParentTablesWithoutMaterializing) {
   ops.Append(refine);
 
   const uint64_t built_before = ctx->star_matcher().stats().tables_built;
-  auto eval = delta.Evaluate(child, ops, ctx->root().get(), {refine});
+  auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
+                             ctx->root().get(), {refine});
   // Q'(G) ⊆ Q(G): verification is complete without tables, so the refine
   // path never pays a materialization.
   EXPECT_EQ(ctx->star_matcher().stats().tables_built, built_before);

@@ -87,6 +87,7 @@ EvalResult MakeEval(LabelId label, double cl, double cost,
                     bool satisfies = true) {
   EvalResult eval;
   eval.query.SetFocus(eval.query.AddNode(label));
+  eval.key = QueryKey::Of(eval.query);
   eval.cl = cl;
   eval.cost = cost;
   eval.satisfies_exemplar = satisfies;

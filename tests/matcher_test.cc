@@ -40,18 +40,20 @@ TEST_F(MatcherFixture, EdgeToPathMatching) {
   // P1 reaches the sensor only through the watch: bound 2 admits it,
   // bound 1 (subgraph-isomorphism semantics) does not.
   PatternQuery q = demo_.Query();
-  EXPECT_TRUE(matcher_.IsMatch(q, demo_.p(1)));
+  EXPECT_TRUE(matcher_.IsMatch(q, QueryKey::Of(q), demo_.p(1)));
   const int e = q.FindEdge(q.focus(), 3);
   ASSERT_GE(e, 0);
   q.edge(static_cast<size_t>(e)).bound = 1;
-  EXPECT_FALSE(matcher_.IsMatch(q, demo_.p(1)));
-  EXPECT_TRUE(matcher_.IsMatch(q, demo_.p(2)));  // direct sensor edge
+  EXPECT_FALSE(matcher_.IsMatch(q, QueryKey::Of(q), demo_.p(1)));
+  // Direct sensor edge.
+  EXPECT_TRUE(matcher_.IsMatch(q, QueryKey::Of(q), demo_.p(2)));
 }
 
 TEST_F(MatcherFixture, FocusLiteralGatesMatch) {
   PatternQuery q = demo_.Query();
-  EXPECT_FALSE(matcher_.IsMatch(q, demo_.p(3)));  // price 790 < 840
-  EXPECT_FALSE(matcher_.IsMatch(q, demo_.p(4)));
+  // Price 790 < 840.
+  EXPECT_FALSE(matcher_.IsMatch(q, QueryKey::Of(q), demo_.p(3)));
+  EXPECT_FALSE(matcher_.IsMatch(q, QueryKey::Of(q), demo_.p(4)));
 }
 
 TEST_F(MatcherFixture, InjectivityEnforced) {
@@ -79,14 +81,15 @@ TEST_F(MatcherFixture, SingleNodeQueryAnswersAreCandidates) {
 TEST_F(MatcherFixture, ValuationsEnumerateAssignments) {
   PatternQuery q = demo_.Query();
   size_t count = 0;
-  matcher_.Valuations(q, demo_.p(1), 10, [&](const std::vector<NodeId>& assign) {
-    ++count;
-    EXPECT_EQ(assign[q.focus()], demo_.p(1));
-    EXPECT_EQ(assign[1], demo_.samsung());
-    EXPECT_EQ(assign[2], demo_.att());
-    EXPECT_EQ(assign[3], demo_.sensor());
-    return true;
-  });
+  matcher_.Valuations(q, QueryKey::Of(q), demo_.p(1), 10,
+                      [&](const std::vector<NodeId>& assign) {
+                        ++count;
+                        EXPECT_EQ(assign[q.focus()], demo_.p(1));
+                        EXPECT_EQ(assign[1], demo_.samsung());
+                        EXPECT_EQ(assign[2], demo_.att());
+                        EXPECT_EQ(assign[3], demo_.sensor());
+                        return true;
+                      });
   EXPECT_EQ(count, 1u);
 }
 
@@ -98,7 +101,7 @@ TEST_F(MatcherFixture, ValuationsRespectLimit) {
   q.SetFocus(cell);
   q.AddEdge(cell, any, 2);
   size_t count = 0;
-  matcher_.Valuations(q, demo_.p(1), 2,
+  matcher_.Valuations(q, QueryKey::Of(q), demo_.p(1), 2,
                       [&](const std::vector<NodeId>&) {
                         ++count;
                         return true;
@@ -114,7 +117,7 @@ TEST_F(MatcherFixture, CallbackCanAbort) {
   q.SetFocus(cell);
   q.AddEdge(cell, any, 2);
   size_t count = 0;
-  matcher_.Valuations(q, demo_.p(1), 100,
+  matcher_.Valuations(q, QueryKey::Of(q), demo_.p(1), 100,
                       [&](const std::vector<NodeId>&) {
                         ++count;
                         return false;
@@ -128,8 +131,9 @@ TEST_F(MatcherFixture, RestrictedMatchHonorsAllowedSets) {
   // Restrict the carrier node to Sprint only: P1 (AT&T) no longer matches.
   std::vector<NodeId> sprint_only = {demo_.sprint()};
   allowed[2] = &sprint_only;
-  EXPECT_FALSE(matcher_.IsMatchRestricted(q, demo_.p(1), allowed));
-  EXPECT_TRUE(matcher_.IsMatchRestricted(q, demo_.p(5), allowed));
+  const Matcher::MatchPlan& plan = matcher_.PlanFor(q, QueryKey::Of(q));
+  EXPECT_FALSE(matcher_.IsMatchRestricted(q, plan, demo_.p(1), allowed));
+  EXPECT_TRUE(matcher_.IsMatchRestricted(q, plan, demo_.p(5), allowed));
 }
 
 TEST_F(MatcherFixture, DirectionMatters) {

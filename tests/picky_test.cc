@@ -135,7 +135,8 @@ TEST_F(PickyFixture, RefineGeneratesRfEOnLooseBounds) {
 
 TEST_F(PickyFixture, WitnessCollectionCapsPerFocus) {
   WitnessSet w =
-      CollectWitnesses(*ctx_, ctx_->root()->query, ctx_->root()->matches);
+      CollectWitnesses(*ctx_, ctx_->root()->query, ctx_->root()->key,
+                       ctx_->root()->matches);
   ASSERT_EQ(w.focus_nodes.size(), 3u);
   for (const auto& assigns : w.assignments) {
     EXPECT_GE(assigns.size(), 1u);

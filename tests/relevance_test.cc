@@ -39,8 +39,7 @@ TEST_F(RelevanceFixture, PaperExampleClassification) {
   EXPECT_EQ(sets.rm[0], demo_.p(5));
   EXPECT_EQ(sets.im.size(), 2u);  // P1, P2
   EXPECT_EQ(sets.rc.size(), 2u);  // P3, P4
-  EXPECT_EQ(sets.ic.size(), 1u);  // P6
-  EXPECT_EQ(sets.num_candidates, 6u);
+  EXPECT_EQ(sets.num_candidates, 6u);  // + P6, the one IC
 
   EXPECT_EQ(sets.StatusOf(demo_.p(5)), Relevance::kRM);
   EXPECT_EQ(sets.StatusOf(demo_.p(1)), Relevance::kIM);
@@ -86,15 +85,16 @@ TEST_F(RelevanceFixture, EmptyMatchesAllCandidatesSplitRcIc) {
   EXPECT_TRUE(sets.rm.empty());
   EXPECT_TRUE(sets.im.empty());
   EXPECT_EQ(sets.rc.size(), 3u);
-  EXPECT_EQ(sets.ic.size(), 3u);
+  EXPECT_EQ(sets.num_candidates - sets.rc.size(), 3u);  // IC
   EXPECT_DOUBLE_EQ(sets.AnswerCloseness(1.0), 0.0);
 }
 
 // The §2.2 split through hash sets, one probe per candidate: the reference
-// for the merge-based Classify.
+// for the merge-based Classify. The irrelevant candidates go to `ic`.
 RelevanceSets ReferenceClassify(const std::vector<NodeId>& candidates,
                                 const std::vector<NodeId>& matches,
-                                const RepResult& rep) {
+                                const RepResult& rep,
+                                std::vector<NodeId>* ic) {
   const std::unordered_set<NodeId> match_set(matches.begin(), matches.end());
   std::unordered_map<NodeId, double> rep_cl;
   for (size_t i = 0; i < rep.nodes.size(); ++i) {
@@ -114,7 +114,7 @@ RelevanceSets ReferenceClassify(const std::vector<NodeId>& candidates,
     } else if (is_rep) {
       sets.rc.push_back(v);
     } else {
-      sets.ic.push_back(v);
+      ic->push_back(v);
     }
   }
   return sets;
@@ -132,16 +132,17 @@ Relevance ReferenceStatus(NodeId v, const std::vector<NodeId>& matches,
 TEST(ClassifyMergeTest, AgreesWithHashSetReferenceOnRandomSortedInputs) {
   Rng rng(2024);
   for (int trial = 0; trial < 200; ++trial) {
-    // Ascending inputs over a small id range. Matches and rep members mostly
-    // come from the universe, with a few ids outside it.
+    // Ascending inputs over a small id range. Matches and rep members lie
+    // inside the universe, as Classify requires (V_{u_o} holds every match
+    // and every rep node).
     const NodeId range = static_cast<NodeId>(1 + rng.Index(120));
     const double density = rng.Double(0, 1);
     std::vector<NodeId> universe, matches;
     RepResult rep;
     for (NodeId v = 0; v < range; ++v) {
-      const bool in_universe = rng.Chance(density);
-      if (in_universe) universe.push_back(v);
-      const double p = in_universe ? rng.Double(0, 1) : 0.05;
+      if (!rng.Chance(density)) continue;
+      universe.push_back(v);
+      const double p = rng.Double(0, 1);
       if (rng.Chance(p)) matches.push_back(v);
       if (rng.Chance(p)) {
         rep.nodes.push_back(v);
@@ -149,12 +150,18 @@ TEST(ClassifyMergeTest, AgreesWithHashSetReferenceOnRandomSortedInputs) {
       }
     }
     const RelevanceSets got = Classify(universe, matches, rep);
-    const RelevanceSets want = ReferenceClassify(universe, matches, rep);
+    std::vector<NodeId> want_ic;
+    const RelevanceSets want =
+        ReferenceClassify(universe, matches, rep, &want_ic);
     ASSERT_EQ(got.rm, want.rm) << "trial=" << trial;
     ASSERT_EQ(got.im, want.im) << "trial=" << trial;
     ASSERT_EQ(got.rc, want.rc) << "trial=" << trial;
-    ASSERT_EQ(got.ic, want.ic) << "trial=" << trial;
     ASSERT_EQ(got.num_candidates, want.num_candidates);
+    // IC is implied: every candidate in no other class.
+    ASSERT_EQ(got.num_candidates - got.rm.size() - got.im.size() -
+                  got.rc.size(),
+              want_ic.size())
+        << "trial=" << trial;
     // Bit-equal, not just close: cl and cl⁺ must not move.
     ASSERT_EQ(got.rm_closeness_sum, want.rm_closeness_sum) << "trial=" << trial;
     for (NodeId v : universe) {

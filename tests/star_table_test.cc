@@ -152,8 +152,11 @@ TEST_F(StarTableFixture, EntryCountReflectsContent) {
   PatternQuery q = demo_.Query();
   auto stars = DecomposeStars(q);
   auto table = materializer_.Materialize(q, stars[0]);
-  size_t stored = table->center_occurrences().size() +
-                  table->focus_occurrences().size();
+  // The demo's first star is focus-centered: its focus role is the center
+  // set, stored (and counted) once.
+  ASSERT_EQ(stars[0].center, q.focus());
+  EXPECT_EQ(&table->focus_occurrences(), &table->center_occurrences());
+  size_t stored = table->center_occurrences().size();
   for (size_t s = 0; s < stars[0].spokes.size(); ++s) {
     stored += table->spoke_occurrences(s).size();
   }
@@ -251,38 +254,76 @@ Occurrences RowOracle(const Graph& g, const PatternQuery& q,
   return occ;
 }
 
+/// Checks each role of `table` (built for `star` of `q`) against the row
+/// oracle, and that a focus-centered or focus-spoke star serves its focus
+/// role from the center or spoke set, counted once by EntryCount.
+void ExpectTableMatches(const Graph& g, const PatternQuery& q,
+                        const StarQuery& star, const StarTable& table,
+                        const Occurrences& want, const std::string& where) {
+  EXPECT_EQ(table.center_occurrences(), want.centers) << where;
+  EXPECT_EQ(table.focus_occurrences(), want.focus) << where;
+  size_t stored = table.center_occurrences().size();
+  for (size_t s = 0; s < star.spokes.size(); ++s) {
+    EXPECT_EQ(table.spoke_occurrences(s), want.spokes[s])
+        << where << " spoke=" << s;
+    stored += table.spoke_occurrences(s).size();
+  }
+  if (star.center == q.focus()) {
+    EXPECT_EQ(&table.focus_occurrences(), &table.center_occurrences()) << where;
+  } else if (star.focus_spoke >= 0) {
+    EXPECT_EQ(&table.focus_occurrences(),
+              &table.spoke_occurrences(static_cast<size_t>(star.focus_spoke)))
+        << where;
+  } else {
+    stored += table.focus_occurrences().size();
+  }
+  EXPECT_EQ(table.EntryCount(), stored) << where;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(table.ContainsFocusOccurrence(v),
+              std::binary_search(want.focus.begin(), want.focus.end(), v))
+        << where << " v=" << v;
+  }
+}
+
 /// Materializes `star` under every thread count and pipeline setting and
-/// checks each role's occurrences against the row oracle.
+/// checks each role's occurrences against the row oracle. `long_lived`
+/// builders (optional) have built other stars over `g` before, so their
+/// focus-proximity memo is warm.
 void ExpectMatchesOracle(const Graph& g, const PatternQuery& q,
-                         const StarQuery& star, const std::string& what) {
+                         const StarQuery& star, const std::string& what,
+                         const std::vector<StarMaterializer*>& long_lived = {}) {
   const Occurrences want = RowOracle(g, q, star);
   for (size_t threads : {1u, 4u}) {
     for (bool pipeline : {true, false}) {
       StarMaterializer mat(g);
       mat.set_num_threads(threads);
       mat.set_use_pipeline(pipeline);
-      const auto table = mat.Materialize(q, star);
       const std::string where = what + " threads=" + std::to_string(threads) +
                                 " pipeline=" + std::to_string(pipeline);
-      EXPECT_EQ(table->center_occurrences(), want.centers) << where;
-      EXPECT_EQ(table->focus_occurrences(), want.focus) << where;
-      for (size_t s = 0; s < star.spokes.size(); ++s) {
-        EXPECT_EQ(table->spoke_occurrences(s), want.spokes[s])
-            << where << " spoke=" << s;
-      }
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        EXPECT_EQ(table->ContainsFocusOccurrence(v),
-                  std::binary_search(want.focus.begin(), want.focus.end(), v))
-            << where << " v=" << v;
-      }
+      ExpectTableMatches(g, q, star, *mat.Materialize(q, star), want, where);
     }
   }
+  for (size_t i = 0; i < long_lived.size(); ++i) {
+    ExpectTableMatches(g, q, star, *long_lived[i]->Materialize(q, star), want,
+                       what + " long-lived builder " + std::to_string(i));
+  }
 }
+
+/// Builders that live across a whole test graph, at 1 and 4 threads.
+struct LongLivedBuilders {
+  explicit LongLivedBuilders(const Graph& g) : serial(g), parallel(g) {
+    parallel.set_num_threads(4);
+  }
+  std::vector<StarMaterializer*> all() { return {&serial, &parallel}; }
+
+  StarMaterializer serial, parallel;
+};
 
 TEST(StarTableOracleTest, OccurrencesMatchPerRowDefinitionOnPresets) {
   size_t focus_centered = 0, focus_spoke = 0, augmented = 0, unreachable = 0;
   for (const GraphSpec& spec : {ImdbLike(0.02), DbpediaLike(0.02)}) {
     const Graph g = GenerateGraph(spec);
+    LongLivedBuilders builders(g);
     Rng rng(7);
     for (int trial = 0; trial < 12; ++trial) {
       QueryGenOptions opts;
@@ -299,17 +340,18 @@ TEST(StarTableOracleTest, OccurrencesMatchPerRowDefinitionOnPresets) {
             star.Signature(*q);
         if (star.center == q->focus()) ++focus_centered;
         if (star.focus_spoke >= 0) ++focus_spoke;
-        ExpectMatchesOracle(g, *q, star, what);
+        ExpectMatchesOracle(g, *q, star, what, builders.all());
         if (star.contains_focus) continue;
         ++augmented;
         // The same star at other augmented bounds, 0 (focus unreachable in
-        // the pattern) included.
-        for (uint32_t bound : {0u, 1u, 3u}) {
+        // the pattern) included, up to the bounds of the long tail.
+        for (uint32_t bound : {0u, 1u, 3u, 4u, 5u}) {
           StarQuery variant = star;
           variant.aug_bound = bound;
           unreachable += bound == 0 ? 1 : 0;
           ExpectMatchesOracle(g, *q, variant,
-                              what + " aug_bound=" + std::to_string(bound));
+                              what + " aug_bound=" + std::to_string(bound),
+                              builders.all());
         }
       }
     }
@@ -319,6 +361,55 @@ TEST(StarTableOracleTest, OccurrencesMatchPerRowDefinitionOnPresets) {
   EXPECT_GT(focus_spoke, 0u);
   EXPECT_GT(augmented, 0u);
   EXPECT_GT(unreachable, 0u);
+}
+
+// A focus filter no node passes: an augmented star then has no viable
+// center, whatever its bound. The long-lived builders first see the same
+// stars with the satisfiable filter, so a memo keyed on anything but the
+// focus filter would serve the wrong proximity marks.
+TEST(StarTableOracleTest, FocusFilterWithoutCandidatesLeavesNoViableCenter) {
+  size_t checked = 0;
+  for (const GraphSpec& spec : {ImdbLike(0.02), DbpediaLike(0.02)}) {
+    const Graph g = GenerateGraph(spec);
+    LongLivedBuilders builders(g);
+    for (int trial = 0; trial < 12; ++trial) {
+      QueryGenOptions opts;
+      opts.seed = 300 + static_cast<uint64_t>(trial);
+      opts.num_edges = 2 + static_cast<size_t>(trial % 3);
+      opts.max_literals = 1;
+      opts.max_bound = 3;
+      opts.min_answers = 1;
+      const auto q = GenerateGroundTruthQuery(g, opts);
+      if (!q.has_value()) continue;
+      // A value no node carries, on an attribute the graph has.
+      PatternQuery empty_focus = *q;
+      empty_focus.AddLiteral(empty_focus.focus(),
+                             {AttrId{0}, CmpOp::kEq, Value::Num(-1e300)});
+      ASSERT_TRUE(ComputeCandidates(g, empty_focus, empty_focus.focus())
+                      .empty());
+      for (const StarQuery& star : DecomposeStars(*q)) {
+        if (star.contains_focus) continue;
+        for (uint32_t bound : {1u, 3u, 5u}) {
+          StarQuery variant = star;
+          variant.aug_bound = bound;
+          const std::string what = spec.name + " trial=" +
+                                   std::to_string(trial) + " aug_bound=" +
+                                   std::to_string(bound);
+          ExpectMatchesOracle(g, *q, variant, what, builders.all());
+          ExpectMatchesOracle(g, empty_focus, variant, what + " empty focus",
+                              builders.all());
+          for (StarMaterializer* mat : builders.all()) {
+            EXPECT_TRUE(
+                mat->Materialize(empty_focus, variant)->center_occurrences()
+                    .empty())
+                << what;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // A center lying in another viable center's spoke ball: n1 is both a center

@@ -247,6 +247,126 @@ TEST_F(StoreFixture, StarViewsInTheRowLayoutAreACleanMiss) {
   EXPECT_EQ(warmed.size(), cache.size());
 }
 
+// Focus-centered (the demo query) and focus-spoke (the same pattern
+// refocused on a spoke node) stars: the focus role is the center or that
+// spoke's set, so a table encodes the center and spoke sets only, and the
+// decoded table serves its focus role from the same set again.
+TEST_F(StoreFixture, AliasedFocusRolesAreStoredOnceAndRoundTrip) {
+  const PatternQuery centered = demo_.Query();
+  const std::vector<StarQuery> centered_stars = DecomposeStars(centered);
+  ASSERT_EQ(centered_stars[0].center, centered.focus());
+  PatternQuery spoked = centered;
+  spoked.SetFocus(centered_stars[0].spokes[0].other);
+
+  StarMaterializer mat(graph());
+  ViewCache cache;
+  size_t centered_seen = 0, spoke_seen = 0;
+  const PatternQuery* const queries[] = {&centered, &spoked};
+  for (const PatternQuery* q : queries) {
+    for (const StarQuery& star : DecomposeStars(*q)) {
+      const bool is_centered = star.center == q->focus();
+      if (!is_centered && star.focus_spoke < 0) continue;
+      ++(is_centered ? centered_seen : spoke_seen);
+      const auto table = mat.Materialize(*q, star);
+      const auto alias = [&](const StarTable& t) {
+        return is_centered
+                   ? &t.center_occurrences()
+                   : &t.spoke_occurrences(static_cast<size_t>(star.focus_spoke));
+      };
+      EXPECT_EQ(&table->focus_occurrences(), alias(*table));
+      EXPECT_FALSE(table->focus_occurrences().empty());
+
+      // Header, then one length-prefixed set per stored role.
+      size_t want = 4 + 8 + 9 * star.spokes.size() + 4 + 1 + 4 + 4;
+      size_t entries = table->center_occurrences().size();
+      want += 8 + 4 * table->center_occurrences().size();
+      for (size_t sp = 0; sp < star.spokes.size(); ++sp) {
+        want += 8 + 4 * table->spoke_occurrences(sp).size();
+        entries += table->spoke_occurrences(sp).size();
+      }
+      store::Writer w;
+      store::Serde::EncodeStarTable(*table, w);
+      EXPECT_EQ(w.bytes().size(), want);
+      EXPECT_EQ(table->EntryCount(), entries);
+
+      store::Reader r(w.bytes());
+      std::shared_ptr<const StarTable> back;
+      ASSERT_TRUE(
+          store::Serde::DecodeStarTable(r, graph().num_nodes(), &back).ok());
+      EXPECT_EQ(back->focus_occurrences(), table->focus_occurrences());
+      EXPECT_EQ(&back->focus_occurrences(), alias(*back));
+      for (NodeId v = 0; v < graph().num_nodes(); ++v) {
+        EXPECT_EQ(back->ContainsFocusOccurrence(v),
+                  table->ContainsFocusOccurrence(v));
+      }
+      cache.Put(star.Signature(*q), table);
+    }
+  }
+  EXPECT_GT(centered_seen, 0u);
+  EXPECT_GT(spoke_seen, 0u);
+
+  // Through the star-views file.
+  auto s = MakeStore();
+  ASSERT_TRUE(s.SaveStarViews(cache, 1u << 20).ok());
+  ViewCache warmed;
+  ASSERT_TRUE(s.WarmStarViews(graph(), &warmed).ok());
+  EXPECT_EQ(warmed.entry_count(), cache.entry_count());
+  cache.ForEach([&](const std::string& sig,
+                    const std::shared_ptr<const StarTable>& live) {
+    const auto loaded = warmed.Get(sig);
+    ASSERT_NE(loaded, nullptr) << sig;
+    EXPECT_EQ(loaded->focus_occurrences(), live->focus_occurrences()) << sig;
+  });
+}
+
+TEST_F(StoreFixture, StarViewsWithACopiedFocusRoleAreACleanMiss) {
+  // A star-views file as written by builder revision 2: each table stored
+  // its focus set even when it was a copy of the center or a spoke set. The
+  // header's params check must turn it away before any table is decoded.
+  const PatternQuery q = demo_.Query();
+  StarMaterializer mat(graph());
+  const std::vector<StarQuery> stars = DecomposeStars(q);
+  store::Writer payload;
+  payload.U64(stars.size());
+  for (const StarQuery& star : stars) {
+    const auto table = mat.Materialize(q, star);
+    store::Writer t;
+    t.U32(star.center);
+    t.U64(star.spokes.size());
+    for (const StarSpoke& sp : star.spokes) {
+      t.U32(sp.other);
+      t.U32(sp.bound);
+      t.U8(sp.outgoing ? 1 : 0);
+    }
+    t.U32(static_cast<uint32_t>(star.focus_spoke));
+    t.U8(star.contains_focus ? 1 : 0);
+    t.U32(star.aug_bound);
+    t.U32(q.focus());
+    t.PodVec(table->focus_occurrences());
+    t.PodVec(table->center_occurrences());
+    for (size_t sp = 0; sp < star.spokes.size(); ++sp) {
+      t.PodVec(table->spoke_occurrences(sp));
+    }
+    payload.Str(star.Signature(q));
+    payload.U64(table->EntryCount() + table->focus_occurrences().size());
+    payload.Str(t.bytes());
+  }
+  auto s = MakeStore();
+  const std::string path = s.ArtifactPath(store::ArtifactKind::kStarViews);
+  fs::create_directories(fs::path(path).parent_path());
+  ASSERT_TRUE(store::WriteFileAtomic(
+                  path, store::SealFile(store::ArtifactKind::kStarViews, fp(),
+                                        /*params=*/2, payload.Take()))
+                  .ok());
+
+  ViewCache warmed;
+  const Status st = s.WarmStarViews(graph(), &warmed);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("builder-parameter"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(warmed.size(), 0u);
+}
+
 TEST_F(StoreFixture, CorruptedStarViewsNeverHalfWarmTheCache) {
   auto s = MakeStore();
   ViewCache cache;

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -474,6 +475,29 @@ TEST(MetricInventoryTest, EveryRuntimeMetricNameIsCanonical) {
            for (const std::string& n : unknown) joined += n + " ";
            return joined;
          }();
+}
+
+TEST(MetricInventoryTest, SolvesReportRenderAndForwardPruneCounters) {
+  Graph g = TestGraph();
+  const auto cases = TestCases(g, 1);
+  ASSERT_FALSE(cases.empty());
+  obs::Observability scope;
+  Request req = MakeRequest(cases[0], 1);
+  req.options.observability = &scope;
+  ASSERT_TRUE(Execute(g, req).ok());
+
+  std::map<std::string, uint64_t> counters;
+  scope.metrics.ForEachCounter(
+      [&counters](const std::string& name, uint64_t value) {
+        counters[name] = value;
+      });
+  // One key per materialized rewrite, rendered before dedup: a solve that
+  // took steps rendered at most one per step.
+  ASSERT_TRUE(counters.count("chase.fingerprint_renders"));
+  ASSERT_GT(counters["chase.steps"], 0u);
+  EXPECT_GT(counters["chase.fingerprint_renders"], 0u);
+  EXPECT_LE(counters["chase.fingerprint_renders"], counters["chase.steps"]);
+  EXPECT_TRUE(counters.count("match.forward_prunes"));
 }
 
 TEST(MetricInventoryTest, DesignDocTableListsEveryCanonicalName) {

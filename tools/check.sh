@@ -21,7 +21,8 @@
 #      bundle_mutation_test);
 #   8. a ThreadSanitizer build (WQE_SANITIZE=thread) running the tests that
 #      exercise the parallel evaluation layer (the star materializer's
-#      4-thread path included, via the star-view oracle), the serving layer,
+#      4-thread path included, via the star-view oracle, and the matcher's
+#      forward-checked search, via its property tests), the serving layer,
 #      and the telemetry structures (sliding windows, flight recorder, scope
 #      folds).
 # Usage: tools/check.sh [jobs]   (jobs defaults to nproc)
@@ -241,9 +242,10 @@ cmake -B build-tsan -S . -DWQE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test matcher_test \
-  star_matcher_test star_table_test distance_index_test answ_test \
-  delta_eval_test serve_test obs_test telemetry_test
+  matcher_property_test star_matcher_test star_table_test \
+  distance_index_test answ_test delta_eval_test serve_test obs_test \
+  telemetry_test
 (cd build-tsan && ctest --output-on-failure -R \
-  'ThreadPool|ParallelFor|PerThread|ParallelDeterminism|Matcher|StarMatcher|StarTableOracle|DistanceIndex|AnsW|DeltaEval|Serve|ObsFold|SlidingHistogram|FlightRecorder|TelemetryServer')
+  'ThreadPool|ParallelFor|PerThread|ParallelDeterminism|Matcher|ForwardCheck|StarMatcher|StarTableOracle|DistanceIndex|AnsW|DeltaEval|Serve|ObsFold|SlidingHistogram|FlightRecorder|TelemetryServer')
 
 echo "== all checks passed =="
