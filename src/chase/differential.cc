@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "chase/delta_eval.h"
-
 namespace wqe {
 
 std::string DifferentialTable::ToString(const Graph& g) const {
@@ -42,12 +40,11 @@ DifferentialTable BuildDifferentialTable(ChaseContext& ctx,
   // against a cold context (post-hoc explain, log mining) re-verifies only
   // each op's neighborhood instead of re-evaluating every prefix in full.
   // Against a warm context the memo still answers first, as before.
-  DeltaEvaluator delta(ctx);
   auto prev = ctx.Evaluate(q, prefix);
   for (const Op& op : ops.ops()) {
     if (!Apply(op, &q, ctx.options().max_bound)) break;
     prefix.Append(op);
-    auto next = delta.Evaluate(q, ctx.RenderKey(q), prefix, prev.get(), {op});
+    auto next = ctx.Evaluate(q, ctx.RenderKey(q), prefix, prev.get(), {op});
 
     DifferentialEntry entry;
     entry.op = op;

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "chase/delta_eval.h"
 #include "chase/report.h"
 #include "obs/query_log.h"
 
@@ -204,13 +203,10 @@ void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
 }
 
 EvalFn ContextEval(ChaseContext& ctx) {
-  // The delta evaluator lives in the closure: one instance per engine run,
-  // so its resolved counters survive across evaluations.
-  auto delta = std::make_shared<DeltaEvaluator>(ctx);
-  return [delta](PatternQuery&& query, OpSequence ops, const Proposal& prop) {
+  return [&ctx](PatternQuery&& query, OpSequence ops, const Proposal& prop) {
     Judged j;
-    j.eval = delta->Evaluate(query, prop.key, std::move(ops), prop.base_eval,
-                             prop.ops);
+    j.eval = ctx.Evaluate(query, prop.key, std::move(ops), prop.base_eval,
+                          prop.ops);
     return j;
   };
 }
@@ -223,6 +219,14 @@ void AccumulateStats(ChaseStats& total, const ChaseStats& delta) {
   total.pruned += delta.pruned;
   total.bound_cuts += delta.bound_cuts;
   total.fingerprint_renders += delta.fingerprint_renders;
+  total.delta_hits += delta.delta_hits;
+  total.delta_full_fallbacks += delta.delta_full_fallbacks;
+  total.delta_reuse_hits += delta.delta_reuse_hits;
+  total.cache_hits += delta.cache_hits;
+  total.cache_misses += delta.cache_misses;
+  total.tables_built += delta.tables_built;
+  total.store_hits += delta.store_hits;
+  total.store_misses += delta.store_misses;
   total.elapsed_seconds += delta.elapsed_seconds;
   total.termination = delta.termination;  // latest run's reason
   obs::MergePhases(total.phases, delta.phases);
@@ -369,7 +373,8 @@ ChaseResult Dispatch(ChaseContext& ctx, Algorithm algo) {
 
 }  // namespace
 
-ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo) {
+ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo,
+                         obs::QueryLogRecord* report) {
   obs::Observability& o = ctx.obs();
   // Install the context's tracer so WQE_SPAN sites below the solver (star
   // matching, operator generation, evaluation) record into it.
@@ -379,9 +384,6 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo) {
   // snapshot so this run's contribution can be carved out afterwards.
   const ChaseStats before = ctx.stats();
   const std::vector<obs::PhaseStat> phases_before = o.tracer.Phases();
-  const ChaseReport::CounterSnapshot counters_before =
-      ctx.options().query_log != nullptr ? ChaseReport::SnapshotCounters(ctx)
-                                         : ChaseReport::CounterSnapshot();
 
   ChaseResult result;
   {
@@ -419,12 +421,17 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo) {
   o.metrics.histogram("solve.latency_ns")
       .Observe(static_cast<uint64_t>(after.elapsed_seconds * 1e9));
 
-  // Provenance: one JSONL record per solve. Best-effort — a full disk must
-  // not fail the query — but surfaced as a counter so it is not silent.
-  if (obs::QueryLog* log = ctx.options().query_log; log != nullptr) {
-    const obs::QueryLogRecord rec =
-        ChaseReport::BuildQueryLogRecord(ctx, result, algo, counters_before);
-    if (!log->Append(rec)) o.metrics.counter("query_log.drops").Inc();
+  // Provenance: one record per solve, built only when something reads it.
+  // Appending is best-effort — a full disk must not fail the query — but
+  // surfaced as a counter so it is not silent.
+  obs::QueryLog* log = ctx.options().query_log;
+  if (log != nullptr || report != nullptr) {
+    obs::QueryLogRecord rec =
+        ChaseReport::BuildQueryLogRecord(ctx, result, algo);
+    if (log != nullptr && !log->Append(rec)) {
+      o.metrics.counter("query_log.drops").Inc();
+    }
+    if (report != nullptr) *report = std::move(rec);
   }
   return result;
 }

@@ -302,9 +302,8 @@ WhyAnswer MakeAnswer(const EvalResult& eval);
 void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
               ChaseResult* result);
 
-/// The default evaluator: a DeltaEvaluator over the context (star views,
-/// cache, memo), evaluating each child against the proposal's `base_eval`
-/// and falling back to ChaseContext::Evaluate when the delta is not local.
+/// The default evaluator: ChaseContext::Evaluate (star views, cache, memo)
+/// with each child offered as a delta against the proposal's `base_eval`.
 EvalFn ContextEval(ChaseContext& ctx);
 
 /// Session-level ChaseStats accumulation (moved out of session.cc so every
@@ -406,9 +405,12 @@ class ListFrontier : public FrontierPolicy {
 
 /// The instrumented dispatcher: tracer installation, the solve.<algo> span,
 /// deadline arming of the star matcher, per-run phase attribution, metric
-/// mirroring, and query-log provenance — implemented once here, above every
-/// solver bundle. ExecuteWithContext is a validation shim over this.
-ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo);
+/// mirroring, and provenance — implemented once here, above every solver
+/// bundle. The provenance record is built once, and only when the context
+/// has a query log (which gets it appended) or `report` is non-null (which
+/// receives it). ExecuteWithContext is a validation shim over this.
+ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo,
+                         obs::QueryLogRecord* report = nullptr);
 
 }  // namespace wqe::engine
 

@@ -146,6 +146,12 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   c_evaluations_ = &obs_->metrics.counter("chase.evaluations");
   c_memo_hits_ = &obs_->metrics.counter("chase.memo_hits");
   h_evaluate_ns_ = &obs_->metrics.histogram("chase.evaluate_ns");
+  c_delta_hits_ = &obs_->metrics.counter("delta_eval.hits");
+  c_full_fallbacks_ = &obs_->metrics.counter("delta_eval.full_fallbacks");
+  c_reuse_hits_ = &obs_->metrics.counter("delta_eval.reuse_hits");
+  c_reverified_ = &obs_->metrics.counter("delta_eval.reverified");
+  c_skipped_ = &obs_->metrics.counter("delta_eval.skipped");
+  h_reverify_ns_ = &obs_->metrics.histogram("delta_eval.reverify_ns");
   obs_->metrics.gauge("index.diameter").Set(indexes_->diameter);
   obs_->metrics.gauge("graph.nodes").Set(static_cast<int64_t>(g.num_nodes()));
   star_matcher_.set_num_threads(opts_.num_threads);
@@ -160,7 +166,9 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   // Warm the private star-view cache from disk (shared caches are warmed by
   // their owner exactly once, not per question).
   if (owned_store_ != nullptr && opts_.use_cache && active_cache_ == &cache_) {
-    owned_store_->WarmStarViews(g_, &cache_);
+    // A rejected snapshot is a miss too: the views are rebuilt.
+    ++(owned_store_->WarmStarViews(g_, &cache_).ok() ? stats_.store_hits
+                                                      : stats_.store_misses);
   }
   // V_{u_o}: the label class of the original focus (all nodes any rewrite's
   // focus could match).
@@ -195,9 +203,126 @@ uint64_t ChaseContext::graph_fingerprint() {
   return graph_fingerprint_;
 }
 
-std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
-                                                   const QueryKey& key,
-                                                   OpSequence ops) {
+ChaseContext::DeltaClass ChaseContext::ClassifyDelta(
+    const std::vector<Op>& applied) {
+  // Polarity is the only thing that matters: the answer-set inclusions
+  // Q(G) ⊆ Q'(G) (relax) and Q'(G) ⊆ Q(G) (refine) hold for operators on
+  // *any* pattern node, the focus included — a homomorphism of the tighter
+  // query restricts to one of the looser query regardless of which node the
+  // operator touched, and both delta paths re-verify their candidates
+  // exactly against the child query. Ops that shift the focus candidate
+  // space (focus literals, focus-incident edges) merely shrink the reuse,
+  // never the correctness.
+  if (applied.empty()) return DeltaClass::kFull;
+  bool all_relax = true;
+  bool all_refine = true;
+  for (const Op& op : applied) {
+    if (op.is_noop()) return DeltaClass::kFull;
+    all_relax = all_relax && op.is_relax();
+    all_refine = all_refine && op.is_refine();
+  }
+  if (all_relax) return DeltaClass::kRelax;
+  if (all_refine) return DeltaClass::kRefine;
+  return DeltaClass::kFull;  // mixed polarity: neither inclusion holds
+}
+
+std::vector<NodeId> ChaseContext::RelaxDelta(
+    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
+    std::shared_ptr<const StarEvalState>* state) {
+  StarMatcher& sm = star_matcher_;
+  // Relaxation may enlarge the candidate space, so every star table is
+  // needed at full strength: reuse unchanged ones, materialize the rest.
+  const uint64_t reuse_before = sm.stats().reuse_hits;
+  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
+                             /*materialize_missing=*/true);
+  c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
+  const auto allowed = sm.AllowedSets(q, *st);
+
+  std::vector<NodeId> candidates;
+  if (allowed[q.focus()].has_value()) {
+    candidates = *allowed[q.focus()];
+  } else {
+    candidates = sm.FocusCandidates(q, key).Take();
+  }
+  // Q(G) ⊆ Q'(G): the parent's matches are child matches already — only
+  // candidates outside them can change verdict.
+  std::vector<NodeId> to_verify =
+      match::CandidateSet::Difference(candidates, parent.matches);
+  c_skipped_->Inc(parent.matches.size());
+  c_reverified_->Inc(to_verify.size());
+
+  std::function<double(NodeId)> priority = [this](NodeId v) {
+    return rep_.ClosenessOf(v);
+  };
+  const uint64_t t0 = NowNs();
+  std::vector<NodeId> verified =
+      sm.VerifyCandidates(q, key, std::move(to_verify), allowed, &priority);
+  h_reverify_ns_->Observe(NowNs() - t0);
+
+  *state = std::move(st);
+  return match::CandidateSet::Union(parent.matches, verified);
+}
+
+std::vector<NodeId> ChaseContext::RefineDelta(
+    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
+    std::shared_ptr<const StarEvalState>* state) {
+  StarMatcher& sm = star_matcher_;
+  // Q'(G) ⊆ Q(G): only the parent's matches can survive, and verification
+  // is complete without any table — so take tables opportunistically (reuse
+  // or a cache peek) and never pay a materialization. Absent tables merely
+  // filter less before the exact checks.
+  const uint64_t reuse_before = sm.stats().reuse_hits;
+  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
+                             /*materialize_missing=*/false);
+  c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
+  const auto allowed = sm.AllowedSets(q, *st);
+
+  // Pre-filter: a child match must occur in the focus position of every
+  // child star table we do hold.
+  std::vector<NodeId> candidates;
+  candidates.reserve(parent.matches.size());
+  for (NodeId v : parent.matches) {
+    bool viable = true;
+    for (const auto& table : st->tables) {
+      if (table != nullptr && !table->ContainsFocusOccurrence(v)) {
+        viable = false;
+        break;
+      }
+    }
+    if (viable) candidates.push_back(v);
+  }
+  c_skipped_->Inc(parent.matches.size() - candidates.size());
+  c_reverified_->Inc(candidates.size());
+
+  std::function<double(NodeId)> priority = [this](NodeId v) {
+    return rep_.ClosenessOf(v);
+  };
+  const uint64_t t0 = NowNs();
+  std::vector<NodeId> verified =
+      sm.VerifyCandidates(q, key, std::move(candidates), allowed, &priority);
+  h_reverify_ns_->Observe(NowNs() - t0);
+
+  *state = std::move(st);
+  return verified;
+}
+
+std::shared_ptr<EvalResult> ChaseContext::Evaluate(
+    const PatternQuery& q, const QueryKey& key, OpSequence ops,
+    const EvalResult* parent, const std::vector<Op>& applied) {
+  const DeltaClass cls =
+      parent == nullptr ? DeltaClass::kFull : ClassifyDelta(applied);
+  if (cls == DeltaClass::kFull) {
+    ++stats_.delta_full_fallbacks;
+    c_full_fallbacks_->Inc();
+  }
+  return EvaluateAs(cls, q, key, std::move(ops), parent);
+}
+
+std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
+                                                     const PatternQuery& q,
+                                                     const QueryKey& key,
+                                                     OpSequence ops,
+                                                     const EvalResult* parent) {
   WQE_SPAN("chase.evaluate");
   const uint64_t t0 = NowNs();
   auto result = std::make_shared<EvalResult>();
@@ -217,15 +342,34 @@ std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
   } else {
     ++stats_.evaluations;
     c_evaluations_->Inc();
-    // Verify exemplar-close candidates first (TA-style ordering, §5.2).
-    std::function<double(NodeId)> priority = [this](NodeId v) {
-      return rep_.ClosenessOf(v);
-    };
-    auto eval = star_matcher_.Evaluate(q, key, &priority);
-    result->matches = std::move(eval.matches);
-    // The delta evaluator reuses the resolved star state for this node's
-    // children.
-    result->star_state = std::move(eval.state);
+    // The star matcher is this context's own, so its totals are this
+    // context's view traffic — copied on every exit, a deadline throw
+    // included, so a solve's stats never lag the tables it paid for.
+    struct ViewTally {
+      const StarEvalStats& views;
+      ChaseStats& stats;
+      ~ViewTally() {
+        stats.cache_hits = views.cache_hits;
+        stats.cache_misses = views.cache_misses;
+        stats.tables_built = views.tables_built;
+        stats.delta_reuse_hits = views.reuse_hits;  // only deltas reuse
+      }
+    } tally{star_matcher_.stats(), stats_};
+    if (cls == DeltaClass::kFull) {
+      // Verify exemplar-close candidates first (TA-style ordering, §5.2).
+      std::function<double(NodeId)> priority = [this](NodeId v) {
+        return rep_.ClosenessOf(v);
+      };
+      auto eval = star_matcher_.Evaluate(q, key, &priority);
+      result->matches = std::move(eval.matches);
+      result->star_state = std::move(eval.state);
+    } else {
+      ++stats_.delta_hits;
+      c_delta_hits_->Inc();
+      result->matches = cls == DeltaClass::kRelax
+                            ? RelaxDelta(q, key, *parent, &result->star_state)
+                            : RefineDelta(q, key, *parent, &result->star_state);
+    }
     if (opts_.use_memo) match_memo_.emplace(key, result->matches);
   }
 

@@ -44,7 +44,7 @@ struct EvalResult {
 
   /// Star-view state of the evaluation that produced `matches` (the
   /// decomposition plus resolved tables). Null on memo hits and on results
-  /// restored from elsewhere. The delta evaluator reuses it for this node's
+  /// restored from elsewhere. Delta evaluation reuses it for this node's
   /// children — null simply forces table resolution through the cache.
   std::shared_ptr<const StarEvalState> star_state;
 };
@@ -72,6 +72,19 @@ struct ChaseStats {
   uint64_t bound_cuts = 0;        // refine children cut by the parent's cl⁺
                                   // bound before evaluation (delta path)
   uint64_t fingerprint_renders = 0;  // rewrite keys rendered (QueryKey::Of)
+  // Delta evaluation (ChaseContext::Evaluate with a parent and applied ops).
+  uint64_t delta_hits = 0;            // evaluated incrementally from a parent
+  uint64_t delta_full_fallbacks = 0;  // delta offers evaluated in full
+  uint64_t delta_reuse_hits = 0;      // parent star tables reused
+  // Star-view traffic of this context's star matcher, root evaluation
+  // included (shared caches count each context's own lookups here).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t tables_built = 0;
+  // The private artifact store's star-view warm at construction: one hit or
+  // one miss, or neither without a private store.
+  uint64_t store_hits = 0;
+  uint64_t store_misses = 0;
   double elapsed_seconds = 0;
   TerminationReason termination = TerminationReason::kExhausted;
   /// Per-phase breakdown of this run (from the context's tracer): where the
@@ -183,10 +196,37 @@ class ChaseContext {
   /// per rewrite); `ops` and its cost are recorded per call. The short form
   /// renders the key itself and counts the render.
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
-                                       const QueryKey& key, OpSequence ops);
+                                       const QueryKey& key, OpSequence ops) {
+    return EvaluateAs(DeltaClass::kFull, q, key, std::move(ops), nullptr);
+  }
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops) {
     return Evaluate(q, RenderKey(q), std::move(ops));
   }
+
+  /// Evaluates child rewrite `q` = parent ⊕ `applied` (DESIGN.md
+  /// "Incremental evaluation"), where `parent` is the evaluation of the
+  /// proposal's base query (null = none). The operators are monotone in the
+  /// match set (§4):
+  ///
+  ///   relax-only  ops ⇒ Q(G) ⊆ Q'(G)  — the parent's matches carry over;
+  ///                                      only candidates outside them can be
+  ///                                      new,
+  ///   refine-only ops ⇒ Q'(G) ⊆ Q(G)  — only the parent's matches can
+  ///                                      survive.
+  ///
+  /// Either way the parent's star tables are reused for stars whose
+  /// signature is unchanged and only the affected candidates are verified,
+  /// with the same exact procedure the full path runs — so the match set,
+  /// and every closeness value downstream, is identical to a full
+  /// evaluation. When the delta is not provably local (no parent, an empty
+  /// or no-op payload, mixed polarity) the rewrite is evaluated in full and
+  /// counted as a delta_eval.full_fallbacks. Operators on the focus node
+  /// stay incremental: the inclusions are polarity properties of the whole
+  /// pattern. May throw DeadlineExceeded (the engine's anytime stop).
+  std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
+                                       const QueryKey& key, OpSequence ops,
+                                       const EvalResult* parent,
+                                       const std::vector<Op>& applied);
 
   /// Evaluates a rewrite with the plain exact matcher — no star views, no
   /// memo, no chase counters. This is the FMAnsW baseline's evaluation
@@ -253,10 +293,30 @@ class ChaseContext {
   obs::Observability& obs() { return *obs_; }
 
  private:
-  /// The delta evaluation path (chase/delta_eval) is a second front door to
-  /// this context's memo, stats, and star matcher — it must mirror the full
-  /// path's accounting exactly, which member access keeps honest.
-  friend class DeltaEvaluator;
+  enum class DeltaClass { kFull, kRelax, kRefine };
+
+  /// kRelax / kRefine when every applied op has that polarity; kFull
+  /// otherwise (empty payload, noops, mixed polarity).
+  static DeltaClass ClassifyDelta(const std::vector<Op>& applied);
+
+  /// The one evaluation body: memo, stats, match set (full, or the `cls`
+  /// delta against `parent`), relevance split, cl/cl⁺ and the exemplar test.
+  std::shared_ptr<EvalResult> EvaluateAs(DeltaClass cls, const PatternQuery& q,
+                                         const QueryKey& key, OpSequence ops,
+                                         const EvalResult* parent);
+
+  /// Relax-only delta: parent matches carry over; verify only the star-
+  /// pruned candidates outside them and merge.
+  std::vector<NodeId> RelaxDelta(const PatternQuery& q, const QueryKey& key,
+                                 const EvalResult& parent,
+                                 std::shared_ptr<const StarEvalState>* state);
+
+  /// Refine-only delta: filter parent matches against the child tables we
+  /// can get for free (reuse or cache — never materialized), then re-verify
+  /// the survivors exactly.
+  std::vector<NodeId> RefineDelta(const PatternQuery& q, const QueryKey& key,
+                                  const EvalResult& parent,
+                                  std::shared_ptr<const StarEvalState>* state);
 
   const Graph& g_;
   WhyQuestion w_;
@@ -268,6 +328,12 @@ class ChaseContext {
   obs::Counter* c_evaluations_ = nullptr;
   obs::Counter* c_memo_hits_ = nullptr;
   obs::Histogram* h_evaluate_ns_ = nullptr;
+  obs::Counter* c_delta_hits_ = nullptr;
+  obs::Counter* c_full_fallbacks_ = nullptr;
+  obs::Counter* c_reuse_hits_ = nullptr;
+  obs::Counter* c_reverified_ = nullptr;
+  obs::Counter* c_skipped_ = nullptr;
+  obs::Histogram* h_reverify_ns_ = nullptr;
 
   // Warms the private star-view cache and persists it on teardown.
   std::unique_ptr<store::ArtifactStore> owned_store_;

@@ -98,23 +98,9 @@ uint64_t ChaseReport::QuestionFingerprint(const WhyQuestion& question) {
   return h;
 }
 
-ChaseReport::CounterSnapshot ChaseReport::SnapshotCounters(ChaseContext& ctx) {
-  obs::MetricsRegistry& m = ctx.obs().metrics;
-  CounterSnapshot s;
-  s.cache_hits = m.counter("cache.hits").Value();
-  s.cache_misses = m.counter("cache.misses").Value();
-  s.tables_built = m.counter("match.tables_built").Value();
-  s.store_hits = m.counter("store.hits").Value();
-  s.store_misses = m.counter("store.misses").Value();
-  s.delta_hits = m.counter("delta_eval.hits").Value();
-  s.delta_full_fallbacks = m.counter("delta_eval.full_fallbacks").Value();
-  s.delta_reuse_hits = m.counter("delta_eval.reuse_hits").Value();
-  return s;
-}
-
-obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(
-    ChaseContext& ctx, const ChaseResult& result, Algorithm algo,
-    const CounterSnapshot& before) {
+obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(ChaseContext& ctx,
+                                                     const ChaseResult& result,
+                                                     Algorithm algo) {
   obs::QueryLogRecord rec;
   rec.algorithm = AlgorithmName(algo);
   switch (algo) {
@@ -150,17 +136,14 @@ obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(
   rec.pruned = result.stats.pruned;
   rec.bound_cuts = result.stats.bound_cuts;
   rec.phases = result.stats.phases;
-
-  const CounterSnapshot now = SnapshotCounters(ctx);
-  rec.cache_hits = now.cache_hits - before.cache_hits;
-  rec.cache_misses = now.cache_misses - before.cache_misses;
-  rec.tables_built = now.tables_built - before.tables_built;
-  rec.store_hits = now.store_hits - before.store_hits;
-  rec.store_misses = now.store_misses - before.store_misses;
-  rec.delta_hits = now.delta_hits - before.delta_hits;
-  rec.delta_full_fallbacks =
-      now.delta_full_fallbacks - before.delta_full_fallbacks;
-  rec.delta_reuse_hits = now.delta_reuse_hits - before.delta_reuse_hits;
+  rec.cache_hits = result.stats.cache_hits;
+  rec.cache_misses = result.stats.cache_misses;
+  rec.tables_built = result.stats.tables_built;
+  rec.store_hits = result.stats.store_hits;
+  rec.store_misses = result.stats.store_misses;
+  rec.delta_hits = result.stats.delta_hits;
+  rec.delta_full_fallbacks = result.stats.delta_full_fallbacks;
+  rec.delta_reuse_hits = result.stats.delta_reuse_hits;
 
   if (result.found()) {
     const WhyAnswer& best = result.best();
@@ -181,22 +164,7 @@ obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(
   return rec;
 }
 
-obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(ChaseContext& ctx,
-                                                     const ChaseResult& result,
-                                                     Algorithm algo) {
-  return BuildQueryLogRecord(ctx, result, algo, CounterSnapshot());
-}
-
-std::string ChaseReport::ExplainJson(ChaseContext& ctx,
-                                     const ChaseResult& result,
-                                     Algorithm algo) {
-  return BuildQueryLogRecord(ctx, result, algo).ToJson();
-}
-
-std::string ChaseReport::ExplainText(ChaseContext& ctx,
-                                     const ChaseResult& result,
-                                     Algorithm algo) {
-  const obs::QueryLogRecord rec = BuildQueryLogRecord(ctx, result, algo);
+std::string ChaseReport::ExplainText(const obs::QueryLogRecord& rec) {
   std::ostringstream out;
   out << "Explain (" << rec.algorithm << ", " << rec.question_kind << "):\n";
   char line[160];

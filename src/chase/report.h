@@ -23,46 +23,21 @@ class ChaseReport {
   static std::string ToJson(ChaseContext& ctx, const ChaseResult& result,
                             bool with_lineage = false);
 
-  /// Counter values consulted by query-log provenance, snapshotted before a
-  /// solve so the record carries this run's deltas. Zero-initialized works
-  /// as "attribute the scope totals" (one-shot contexts, post-hoc explain).
-  struct CounterSnapshot {
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t tables_built = 0;
-    uint64_t store_hits = 0;
-    uint64_t store_misses = 0;
-    uint64_t delta_hits = 0;
-    uint64_t delta_full_fallbacks = 0;
-    uint64_t delta_reuse_hits = 0;
-  };
-
-  /// Reads the current values of the counters above from `ctx`'s registry.
-  static CounterSnapshot SnapshotCounters(ChaseContext& ctx);
-
   /// Assembles the provenance record for one solve: identity (algorithm,
-  /// graph/options fingerprints), outcome, work counters, cache/store deltas
-  /// against `before`, the best answer's applied op sequence with per-op
-  /// costs, and the per-phase breakdown from `result.stats.phases`. The
-  /// three-argument form attributes the scope's counter totals (one-shot
-  /// contexts, post-hoc explain).
-  static obs::QueryLogRecord BuildQueryLogRecord(ChaseContext& ctx,
-                                                 const ChaseResult& result,
-                                                 Algorithm algo,
-                                                 const CounterSnapshot& before);
+  /// graph/options fingerprints, the question text), outcome, and the work,
+  /// view, store and delta tallies of `result.stats` — the context's own,
+  /// root evaluation included — plus the best answer's applied op sequence
+  /// with per-op costs and the per-phase breakdown. A function of the
+  /// context's identity facts and `result` alone: later evaluations on the
+  /// context (lineage replays) do not change it. Its ToJson() is the query-log
+  /// line and the `--explain` machine form.
   static obs::QueryLogRecord BuildQueryLogRecord(ChaseContext& ctx,
                                                  const ChaseResult& result,
                                                  Algorithm algo);
 
-  /// The provenance record as a standalone JSON object — the `--explain`
-  /// machine form; identical in schema to the query-log JSONL line.
-  static std::string ExplainJson(ChaseContext& ctx, const ChaseResult& result,
-                                 Algorithm algo);
-
-  /// Human-readable explain: applied operator sequence with costs, per-phase
-  /// self-time table, cache/store traffic, and termination.
-  static std::string ExplainText(ChaseContext& ctx, const ChaseResult& result,
-                                 Algorithm algo);
+  /// Human-readable explain of a record: applied operator sequence with
+  /// costs, per-phase self-time table, cache/store traffic, and termination.
+  static std::string ExplainText(const obs::QueryLogRecord& rec);
 
   /// Escapes a string for embedding in JSON output.
   static std::string Escape(std::string_view s);

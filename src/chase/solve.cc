@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "chase/engine.h"
-#include "chase/report.h"
 
 namespace wqe {
 
@@ -66,20 +65,11 @@ Response ExecuteWithContext(ChaseContext& ctx, Algorithm algo,
     resp.status = std::move(s);
     return resp;
   }
-  // Counters snapshotted before the run so the report carries this solve's
-  // deltas, not the scope's lifetime totals (contexts may be reused).
-  const ChaseReport::CounterSnapshot before =
-      collect_report ? ChaseReport::SnapshotCounters(ctx)
-                     : ChaseReport::CounterSnapshot();
   // All instrumentation (solve span, deadline arming, metric mirroring,
-  // query-log provenance) lives in the engine dispatcher, once for every
-  // algorithm.
-  resp.result = engine::RunAlgorithm(ctx, algo);
+  // provenance) lives in the engine dispatcher, once for every algorithm.
+  resp.result = engine::RunAlgorithm(ctx, algo,
+                                     collect_report ? &resp.report : nullptr);
   resp.status = resp.result.status;
-  if (collect_report) {
-    resp.report =
-        ChaseReport::BuildQueryLogRecord(ctx, resp.result, algo, before);
-  }
   return resp;
 }
 

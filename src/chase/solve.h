@@ -64,8 +64,11 @@ struct Response {
   /// start of execution (0 when executed inline).
   double queue_seconds = 0;
 
-  /// Per-solve provenance (engaged when Request::collect_report): the same
-  /// record the query log persists, usable for explain output or replay.
+  /// Per-solve provenance (engaged when Request::collect_report): the one
+  /// record the engine builds per solve — the query log persists this same
+  /// record — from the context's identity and the solve's ChaseStats, so it
+  /// is final when the solve returns. Render it with
+  /// ChaseReport::ExplainText or ToJson.
   obs::QueryLogRecord report;
 
   bool ok() const { return status.ok(); }

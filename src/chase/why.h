@@ -106,10 +106,12 @@ struct ChaseOptions {
 
   /// Structured query-log sink: when set, every Execute/ExecuteWithContext call
   /// appends one JSONL provenance record (algorithm, fingerprints, applied
-  /// op sequence, per-phase self-times, cache/store traffic, termination —
-  /// see DESIGN.md "Telemetry & regression gating"). Null = no logging, no
-  /// cost. The pointee must outlive every solve issued with these options;
-  /// one log may be shared by concurrent solvers (appends are serialized).
+  /// op sequence, per-phase self-times, the context's own cache/store/delta
+  /// tallies, termination — see DESIGN.md "Telemetry & regression gating").
+  /// The line is the record Response::report carries for the same solve.
+  /// Null = no logging, no cost. The pointee must outlive every solve issued
+  /// with these options; one log may be shared by concurrent solvers
+  /// (appends are serialized).
   obs::QueryLog* query_log = nullptr;
 
   /// Root directory of the persistent artifact store (DESIGN.md

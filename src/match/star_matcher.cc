@@ -142,7 +142,7 @@ std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
     if (table == nullptr && cache_ != nullptr) {
       if (materialize_missing) {
         table = cache_->Get(signature);
-        if (table != nullptr) ++stats_.cache_hits;
+        ++(table != nullptr ? stats_.cache_hits : stats_.cache_misses);
       } else {
         // Opportunistic probe: absence is not a miss when we would not
         // build the table anyway.

@@ -24,16 +24,17 @@ struct Observability;
 struct StarEvalStats {
   uint64_t evaluations = 0;
   uint64_t tables_built = 0;
-  uint64_t cache_hits = 0;
+  uint64_t cache_hits = 0;        // view-cache Gets that found the table
+  uint64_t cache_misses = 0;      // view-cache Gets that did not
   uint64_t reuse_hits = 0;        // tables inherited from a parent StarEvalState
   uint64_t focus_candidates = 0;  // before star pruning
   uint64_t focus_verified = 0;    // after star pruning
 };
 
 /// Reusable star-view state of one evaluation: the decomposition, each
-/// star's cache signature, and its resolved table (parallel vectors). The
-/// delta evaluation path (chase/delta_eval) threads this from a parent chase
-/// node to its children so untouched stars are never re-materialized —
+/// star's cache signature, and its resolved table (parallel vectors). Delta
+/// evaluation (ChaseContext::Evaluate) threads this from a parent chase node
+/// to its children so untouched stars are never re-materialized —
 /// signature equality is exactly the view cache's sharing condition, so a
 /// reused table is byte-identical to a rebuilt one. Table entries may be
 /// null when the state was resolved with materialize_missing = false (the

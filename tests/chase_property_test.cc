@@ -7,7 +7,6 @@
 
 #include <optional>
 
-#include "chase/delta_eval.h"
 #include "chase/next_op.h"
 #include "chase/solve.h"
 #include "common/rng.h"
@@ -189,7 +188,6 @@ TEST_P(SatisfiesExemplarTest, VerdictEqualsComputeRepOverTheMatches) {
   size_t satisfied = 0;
   for (const WhyQuestion& question : questions) {
     ChaseContext ctx(g, question, chase);
-    DeltaEvaluator delta(ctx);
     const auto truth = [&](const std::vector<NodeId>& matches) {
       const bool sat =
           !matches.empty() &&
@@ -211,8 +209,8 @@ TEST_P(SatisfiesExemplarTest, VerdictEqualsComputeRepOverTheMatches) {
         ops.Append(op);
         const auto eval = walk % 2 == 0
                               ? ctx.Evaluate(q, ops)
-                              : delta.Evaluate(q, QueryKey::Of(q), ops,
-                                               node.eval.get(), {op});
+                              : ctx.Evaluate(q, QueryKey::Of(q), ops,
+                                             node.eval.get(), {op});
         EXPECT_EQ(eval->satisfies_exemplar, truth(eval->matches))
             << spec.name << " walk " << walk << " step " << step << "\n"
             << question.exemplar.ToString(g.schema());

@@ -1,5 +1,5 @@
-// Oracle suite for the incremental evaluation path (chase/delta_eval), the
-// engine's only evaluation path. End to end, every answer any solver bundle
+// Oracle suite for the incremental evaluation path (ChaseContext::Evaluate
+// with a parent and applied ops), the engine's only evaluation path. End to end, every answer any solver bundle
 // returns must carry exactly the brute-force matches of its rewrite
 // (tests/reference_matcher.h), AnsW's best closeness must equal the
 // exhaustive chase optimum, and output must be byte-identical across thread
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "chase/chase.h"
-#include "chase/delta_eval.h"
 #include "chase/engine.h"
 #include "chase/multi_focus.h"
 #include "chase/next_op.h"
@@ -247,7 +246,7 @@ TEST(DeltaEvalTest, WhyNotReportsMatchReferenceMatcher) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct oracle checks: DeltaEvaluator vs brute-force reference, per op.
+// Direct oracle checks: delta evaluation vs brute-force reference, per op.
 // ---------------------------------------------------------------------------
 
 Graph RandomAttributedGraph(Rng& rng, size_t n, size_t m, int num_labels) {
@@ -321,7 +320,6 @@ TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
     ReferenceMatcher reference(g);
     PatternQuery q = RandomQuery(rng, g, 4);
     auto ctx = MakeContext(g, q);
-    DeltaEvaluator delta(*ctx);
 
     ChaseNode root_node;
     root_node.eval = ctx->root();
@@ -335,8 +333,8 @@ TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
       ++tried;
       OpSequence ops;
       ops.Append(scored.op);
-      auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
-                                 ctx->root().get(), {scored.op});
+      auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
+                                ctx->root().get(), {scored.op});
       EXPECT_EQ(eval->matches, reference.Answer(child))
           << "seed=" << seed << " op=" << scored.op.ToString(g.schema());
       // The delta result must also agree byte-for-byte with the full path.
@@ -361,7 +359,6 @@ TEST(DeltaEvalTest, MultiOpRelaxPayloadMatchesOracle) {
     ReferenceMatcher reference(g);
     PatternQuery q = RandomQuery(rng, g, 4);
     auto ctx = MakeContext(g, q, /*use_memo=*/false);
-    DeltaEvaluator delta(*ctx);
 
     ChaseNode root_node;
     root_node.eval = ctx->root();
@@ -379,8 +376,8 @@ TEST(DeltaEvalTest, MultiOpRelaxPayloadMatchesOracle) {
     ops.Append(relaxes[0]);
     ops.Append(relaxes[1]);
     const uint64_t hits_before = Counter(*ctx, "delta_eval.hits");
-    auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
-                               ctx->root().get(), relaxes);
+    auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
+                              ctx->root().get(), relaxes);
     EXPECT_EQ(eval->matches, reference.Answer(child)) << "seed=" << seed;
     // A same-polarity payload is provably local: no fallback.
     EXPECT_EQ(Counter(*ctx, "delta_eval.hits"), hits_before + 1);
@@ -393,7 +390,6 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   ReferenceMatcher reference(g);
   PatternQuery q = RandomQuery(rng, g, 4);
   auto ctx = MakeContext(g, q, /*use_memo=*/false);
-  DeltaEvaluator delta(*ctx);
   const AttrId x = g.schema().LookupAttr("x");
 
   // A refinement on the focus node itself shifts the focus candidate space
@@ -410,8 +406,8 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   OpSequence focus_ops;
   focus_ops.Append(focus_op);
   auto focus_eval =
-      delta.Evaluate(focus_child, QueryKey::Of(focus_child), focus_ops,
-                     ctx->root().get(), {focus_op});
+      ctx->Evaluate(focus_child, QueryKey::Of(focus_child), focus_ops,
+                    ctx->root().get(), {focus_op});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb);
   EXPECT_EQ(Counter(*ctx, "delta_eval.hits"), hits + 1);
   EXPECT_EQ(focus_eval->matches, reference.Answer(focus_child));
@@ -434,8 +430,8 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   OpSequence mixed_ops;
   mixed_ops.Append(add);
   mixed_ops.Append(rm);
-  auto mixed_eval = delta.Evaluate(mixed_child, QueryKey::Of(mixed_child),
-                                   mixed_ops, ctx->root().get(), {add, rm});
+  auto mixed_eval = ctx->Evaluate(mixed_child, QueryKey::Of(mixed_child),
+                                  mixed_ops, ctx->root().get(), {add, rm});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(mixed_eval->matches, reference.Answer(mixed_child));
 
@@ -445,16 +441,96 @@ TEST(DeltaEvalTest, NotProvablyLocalPayloadsFallBackToFullEvaluation) {
   add_ops.Append(add);
   PatternQuery add_child = q;
   ASSERT_TRUE(Apply(add, &add_child, ctx->options().max_bound));
-  auto orphan = delta.Evaluate(add_child, QueryKey::Of(add_child), add_ops,
-                               nullptr, {add});
+  auto orphan = ctx->Evaluate(add_child, QueryKey::Of(add_child), add_ops,
+                              nullptr, {add});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(orphan->matches, reference.Answer(add_child));
 
   // An empty payload cannot be classified: fallback.
   fb = Counter(*ctx, "delta_eval.full_fallbacks");
-  auto empty = delta.Evaluate(q, QueryKey::Of(q), OpSequence(), ctx->root().get(), {});
+  auto empty = ctx->Evaluate(q, QueryKey::Of(q), OpSequence(),
+                             ctx->root().get(), {});
   EXPECT_EQ(Counter(*ctx, "delta_eval.full_fallbacks"), fb + 1);
   EXPECT_EQ(empty->matches, ctx->root()->matches);
+}
+
+/// The context's own delta tallies and the registry's delta_eval.* /
+/// chase.* counters must agree; returns the fallback count.
+uint64_t CheckedFallbacks(ChaseContext& ctx) {
+  const ChaseStats& s = ctx.stats();
+  EXPECT_EQ(s.evaluations, Counter(ctx, "chase.evaluations"));
+  EXPECT_EQ(s.memo_hits, Counter(ctx, "chase.memo_hits"));
+  EXPECT_EQ(s.delta_hits, Counter(ctx, "delta_eval.hits"));
+  EXPECT_EQ(s.delta_full_fallbacks, Counter(ctx, "delta_eval.full_fallbacks"));
+  return s.delta_full_fallbacks;
+}
+
+TEST(DeltaEvalTest, FrontDoorCountsEachEvaluationOnce) {
+  Rng rng(3);
+  Graph g = RandomAttributedGraph(rng, 14, 30, 3);
+  PatternQuery q = RandomQuery(rng, g, 4);
+
+  // A single-op child of the root: a provably local delta.
+  auto probe = MakeContext(g, q);
+  ChaseNode root_node;
+  root_node.eval = probe->root();
+  GenerateOps(*probe, root_node, -1e18, 0, nullptr);
+  PatternQuery child;
+  Op op;
+  bool found = false;
+  for (const ScoredOp& scored : root_node.queue) {
+    child = q;
+    op = scored.op;
+    if (!op.is_noop() && Apply(op, &child, probe->options().max_bound)) {
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  OpSequence ops;
+  ops.Append(op);
+  const QueryKey key = QueryKey::Of(child);
+
+  // The constructor's root evaluation and direct calls are not delta
+  // offers: no fallback. A full evaluation is one evaluation; its repeat,
+  // through either door, is a memo hit.
+  auto full = MakeContext(g, q);
+  EXPECT_EQ(full->stats().evaluations, 1u);  // the root
+  EXPECT_EQ(CheckedFallbacks(*full), 0u);
+  full->Evaluate(child, key, ops);
+  EXPECT_EQ(full->stats().evaluations, 2u);
+  full->Evaluate(child, key, ops);
+  full->Evaluate(child, key, ops, full->root().get(), {op});
+  EXPECT_EQ(full->stats().evaluations, 2u);
+  EXPECT_EQ(full->stats().memo_hits, 2u);
+  EXPECT_EQ(full->stats().delta_hits, 0u);
+  EXPECT_EQ(CheckedFallbacks(*full), 0u);
+
+  // A delta evaluation is one evaluation and one delta hit; its repeat,
+  // through either door, is a memo hit.
+  auto delta = MakeContext(g, q);
+  delta->Evaluate(child, key, ops, delta->root().get(), {op});
+  EXPECT_EQ(delta->stats().evaluations, 2u);
+  EXPECT_EQ(delta->stats().delta_hits, 1u);
+  delta->Evaluate(child, key, ops, delta->root().get(), {op});
+  delta->Evaluate(child, key, ops);
+  EXPECT_EQ(delta->stats().evaluations, 2u);
+  EXPECT_EQ(delta->stats().memo_hits, 2u);
+  EXPECT_EQ(delta->stats().delta_hits, 1u);
+  EXPECT_EQ(CheckedFallbacks(*delta), 0u);
+
+  // An engine evaluation without a parent was offered as a delta: one
+  // fallback, evaluated in full.
+  auto orphan = MakeContext(g, q);
+  engine::Proposal prop;
+  prop.ops = {op};
+  prop.key = key;
+  const engine::Judged j =
+      engine::ContextEval(*orphan)(PatternQuery(child), ops, prop);
+  EXPECT_EQ(j.eval->matches, full->Evaluate(child, key, ops)->matches);
+  EXPECT_EQ(orphan->stats().evaluations, 2u);
+  EXPECT_EQ(orphan->stats().delta_hits, 0u);
+  EXPECT_EQ(CheckedFallbacks(*orphan), 1u);
 }
 
 TEST(DeltaEvalTest, EngineBoundCutSkipsRefineOnlyChildrenPreEvaluation) {
@@ -541,7 +617,6 @@ TEST(DeltaEvalTest, RefineDeltaReusesParentTablesWithoutMaterializing) {
   q.AddEdge(2, 3, 1);
   q.SetFocus(0);
   auto ctx = MakeContext(g, q, /*use_memo=*/false);
-  DeltaEvaluator delta(*ctx);
   ASSERT_NE(ctx->root()->star_state, nullptr);
   const AttrId x = g.schema().LookupAttr("x");
 
@@ -555,8 +630,8 @@ TEST(DeltaEvalTest, RefineDeltaReusesParentTablesWithoutMaterializing) {
   ops.Append(refine);
 
   const uint64_t built_before = ctx->star_matcher().stats().tables_built;
-  auto eval = delta.Evaluate(child, QueryKey::Of(child), ops,
-                             ctx->root().get(), {refine});
+  auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
+                            ctx->root().get(), {refine});
   // Q'(G) ⊆ Q(G): verification is complete without tables, so the refine
   // path never pays a materialization.
   EXPECT_EQ(ctx->star_matcher().stats().tables_built, built_before);

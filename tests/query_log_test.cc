@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "chase/differential.h"
 #include "chase/report.h"
 #include "chase/solve.h"
 #include "gen/product_demo.h"
@@ -300,6 +301,50 @@ TEST(QueryLogSolveTest, SolveWithContextAppendsOneRecordPerSolve) {
   std::remove(path.c_str());
 }
 
+/// The logged line is the solve's record: the response's report, and a
+/// rebuild from the context and the result after a lineage replay has run
+/// more evaluations on the context, are the same bytes.
+TEST(QueryLogSolveTest, LoggedLineIsTheSolvesRecord) {
+  const std::string path = TempPath("record");
+  std::remove(path.c_str());
+  ProductDemo demo;
+  auto log = obs::QueryLog::Open(path);
+  ASSERT_TRUE(log.ok());
+
+  ChaseOptions opts;
+  opts.query_log = log.value().get();
+  WhyQuestion w{demo.Query(), demo.MakeExemplar()};
+  ChaseContext ctx(demo.graph(), w, opts);
+  const Response resp =
+      ExecuteWithContext(ctx, Algorithm::kAnsW, /*collect_report=*/true);
+  ASSERT_TRUE(resp.found());
+  ASSERT_FALSE(resp.best().ops.empty());
+  // The replay evaluates every prefix of the best answer's derivation.
+  const uint64_t lookups = ctx.stats().evaluations + ctx.stats().memo_hits;
+  (void)BuildDifferentialTable(ctx, resp.best().ops);
+  ASSERT_GT(ctx.stats().evaluations + ctx.stats().memo_hits, lookups);
+
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string logged;
+  char buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    logged.append(buf, n);
+  }
+  std::fclose(f);
+  ASSERT_EQ(log.value()->records_written(), 1u);
+
+  const obs::QueryLogRecord rebuilt =
+      ChaseReport::BuildQueryLogRecord(ctx, resp.result, Algorithm::kAnsW);
+  EXPECT_EQ(rebuilt.ToJson() + "\n", logged);
+  EXPECT_EQ(resp.report.ToJson() + "\n", logged);
+  // The root evaluation is counted on both sides of the view tally.
+  EXPECT_EQ(rebuilt.evaluations, resp.result.stats.evaluations);
+  EXPECT_EQ(rebuilt.cache_misses, rebuilt.tables_built);
+  EXPECT_GT(rebuilt.tables_built, 0u);
+  std::remove(path.c_str());
+}
+
 /// Golden check on the structural (time-independent) explain content for the
 /// fixed ProductDemo instance: the applied operator sequence, kinds, and
 /// counters are deterministic; wall-clock fields are not and stay unpinned.
@@ -311,8 +356,9 @@ TEST(QueryLogSolveTest, ExplainGoldenStructureForProductDemo) {
   ChaseResult result = ExecuteWithContext(ctx, Algorithm::kAnsW).result;
   ASSERT_TRUE(result.found());
 
-  auto parsed =
-      obs::ParseJson(ChaseReport::ExplainJson(ctx, result, Algorithm::kAnsW));
+  const obs::QueryLogRecord rec =
+      ChaseReport::BuildQueryLogRecord(ctx, result, Algorithm::kAnsW);
+  auto parsed = obs::ParseJson(rec.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const obs::JsonValue& v = parsed.value();
   EXPECT_EQ(v.StringOr("algorithm", ""), "AnsW");
@@ -337,8 +383,7 @@ TEST(QueryLogSolveTest, ExplainGoldenStructureForProductDemo) {
   EXPECT_FALSE(phases->items.empty());
 
   // The human-readable rendering carries the same facts.
-  const std::string text =
-      ChaseReport::ExplainText(ctx, result, Algorithm::kAnsW);
+  const std::string text = ChaseReport::ExplainText(rec);
   EXPECT_NE(text.find("Explain (AnsW, why)"), std::string::npos) << text;
   EXPECT_NE(text.find("RxL(u0.price >= 840 -> price >= 795)"),
             std::string::npos);

@@ -92,12 +92,11 @@ TEST_F(ReportFixture, ToJsonParsesStrictly) {
 }
 
 TEST_F(ReportFixture, ExplainJsonMatchesExplainTextFacts) {
-  const std::string json =
-      ChaseReport::ExplainJson(*ctx_, result_, Algorithm::kAnsW);
-  auto parsed = obs::ParseJson(json);
+  const obs::QueryLogRecord rec =
+      ChaseReport::BuildQueryLogRecord(*ctx_, result_, Algorithm::kAnsW);
+  auto parsed = obs::ParseJson(rec.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const std::string text =
-      ChaseReport::ExplainText(*ctx_, result_, Algorithm::kAnsW);
+  const std::string text = ChaseReport::ExplainText(rec);
   // Every operator in the JSON record appears verbatim in the text render.
   const obs::JsonValue* ops = parsed.value().Find("ops");
   ASSERT_NE(ops, nullptr);

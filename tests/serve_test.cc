@@ -292,6 +292,48 @@ TEST(ServeTest, SharedCacheTrafficStaysInOwnerScope) {
   }
 }
 
+TEST(ServeTest, QueryLogRecordsCarryTheirOwnViewTraffic) {
+  Graph g = TestGraph();
+  const auto cases = TestCases(g, 4);
+  ASSERT_FALSE(cases.empty());
+  const std::string path = TempPath("views");
+  std::remove(path.c_str());
+
+  // The shared cache counts into the server scope; each record must carry
+  // the lookups of its own solve, root evaluation included.
+  obs::Observability scope;
+  {
+    auto log = obs::QueryLog::Open(path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    serve::ServerOptions sopts;
+    sopts.concurrency = 1;
+    sopts.observability = &scope;
+    sopts.query_log = log.value().get();
+    serve::Server server(g, sopts);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < cases.size(); ++i) {
+        ASSERT_TRUE(server.Serve(MakeRequest(cases[i], TestChase(), i)).ok());
+      }
+    }
+  }
+
+  auto loaded = obs::QueryLog::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto& records = loaded.value().records;
+  ASSERT_EQ(records.size(), 2 * cases.size());
+  uint64_t lookups = 0;
+  for (size_t r = 0; r < records.size(); ++r) {
+    lookups += records[r].cache_hits + records[r].cache_misses;
+    if (r < cases.size()) continue;
+    // Second pass: every table the solve reads is already shared.
+    EXPECT_GT(records[r].cache_hits, 0u) << "record " << r;
+    EXPECT_EQ(records[r].tables_built, 0u) << "record " << r;
+  }
+  EXPECT_EQ(lookups, scope.metrics.counter("cache.hits").Value() +
+                         scope.metrics.counter("cache.misses").Value());
+  std::remove(path.c_str());
+}
+
 TEST(ServeTest, PerRequestCountersFoldIntoServerScope) {
   Graph g = TestGraph();
   const auto cases = TestCases(g, 2);

@@ -49,17 +49,17 @@ for pattern in '\.Expired\(' 'ThrowIfExpired' 'DeadlineGovernor' \
   fi
 done
 # The evaluate step is the engine's second owned concern: solver policy
-# bundles must obtain match sets through ChaseContext::Evaluate (or the
-# DeltaEvaluator the engine installs), never by calling Matcher::Answer or
-# StarMatcher::Evaluate directly — a direct call bypasses the memo, the
-# delta path, and the evaluation stats, so its work escapes the counters and
-# the oracle tests (delta_eval_test) that pin the engine's answers.
+# bundles must obtain match sets through ChaseContext::Evaluate (the one
+# front door, which the engine installs with each child offered as a delta),
+# never by calling Matcher::Answer or StarMatcher::Evaluate directly — a
+# direct call bypasses the memo, the delta path, and the evaluation stats,
+# so its work escapes the counters and the oracle tests (delta_eval_test)
+# that pin the engine's answers.
 for pattern in '\.Answer\(' 'star_matcher[_()]*\.Evaluate\('; do
   if hits=$(grep -rnE "$pattern" src/chase \
       --include='*.cc' --include='*.h' \
       --exclude='engine.h' --exclude='engine.cc' \
-      --exclude='eval.h' --exclude='eval.cc' \
-      --exclude='delta_eval.h' --exclude='delta_eval.cc'); then
+      --exclude='eval.h' --exclude='eval.cc'); then
     echo "lint: forbidden pattern '$pattern' outside the evaluate step:"
     echo "$hits"
     LINT_FAIL=1
@@ -236,6 +236,25 @@ done
 ./build-asan/tools/wqe why "$DRILL/product.graph" "$DRILL/product.query" \
   "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" >/dev/null
 echo "drill: $SNAPSHOTS snapshots corrupted, rebuild survived"
+# --explain and the query-log line render the solve's one record: their
+# view, store and delta tallies must be the same numbers.
+./build-asan/tools/wqe why "$DRILL/product.graph" "$DRILL/product.query" \
+  "$DRILL/product.exemplar" --cache-dir "$DRILL/cache" --explain \
+  --query-log "$DRILL/query.jsonl" >"$DRILL/explain.txt"
+logged() {
+  for f in "$@"; do
+    sed -n "s/.*\"$f\":\([0-9]*\).*/\1/p" "$DRILL/query.jsonl"
+  done | paste -sd' '
+}
+EXPLAIN_VIEWS="$(sed -n 's/^  views: cache \([0-9]*\) hit \/ \([0-9]*\) miss, \([0-9]*\) tables built | store \([0-9]*\) hit \/ \([0-9]*\) miss$/\1 \2 \3 \4 \5/p' "$DRILL/explain.txt")"
+EXPLAIN_DELTA="$(sed -n 's/^  delta: \([0-9]*\) incremental \/ \([0-9]*\) full, \([0-9]*\) tables reused, \([0-9]*\) bound cuts$/\1 \2 \3 \4/p' "$DRILL/explain.txt")"
+LOG_VIEWS="$(logged cache_hits cache_misses tables_built store_hits store_misses)"
+LOG_DELTA="$(logged delta_hits delta_full_fallbacks delta_reuse_hits bound_cuts)"
+[ -n "$EXPLAIN_VIEWS" ] && [ "$EXPLAIN_VIEWS" = "$LOG_VIEWS" ] || {
+  echo "drill: explain views '$EXPLAIN_VIEWS' != query-log line '$LOG_VIEWS'"; exit 1; }
+[ -n "$EXPLAIN_DELTA" ] && [ "$EXPLAIN_DELTA" = "$LOG_DELTA" ] || {
+  echo "drill: explain delta '$EXPLAIN_DELTA' != query-log line '$LOG_DELTA'"; exit 1; }
+echo "drill: explain and query-log line agree (views $EXPLAIN_VIEWS; delta $EXPLAIN_DELTA)"
 
 echo "== ThreadSanitizer build =="
 cmake -B build-tsan -S . -DWQE_SANITIZE=thread \

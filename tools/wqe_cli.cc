@@ -344,7 +344,8 @@ int CmdWhy(int argc, char** argv) {
                 ctx.rep().nodes.size(), ctx.cl_star());
   }
 
-  Response response = ExecuteWithContext(ctx, req.algorithm);
+  Response response =
+      ExecuteWithContext(ctx, req.algorithm, /*collect_report=*/explain);
   const ChaseResult& result = response.result;
 
   if (sampler != nullptr) sampler->Stop();  // final sample before export
@@ -379,7 +380,7 @@ int CmdWhy(int argc, char** argv) {
     std::printf("\n");
   }
   if (explain) {
-    std::fputs(ChaseReport::ExplainText(ctx, result, *parsed).c_str(), stdout);
+    std::fputs(ChaseReport::ExplainText(response.report).c_str(), stdout);
     std::printf("\n");
   }
   std::printf("steps=%llu evaluations=%llu elapsed=%.3fs termination=%s\n",
