@@ -221,7 +221,6 @@ void AccumulateStats(ChaseStats& total, const ChaseStats& delta) {
   total.fingerprint_renders += delta.fingerprint_renders;
   total.delta_hits += delta.delta_hits;
   total.delta_full_fallbacks += delta.delta_full_fallbacks;
-  total.delta_reuse_hits += delta.delta_reuse_hits;
   total.cache_hits += delta.cache_hits;
   total.cache_misses += delta.cache_misses;
   total.tables_built += delta.tables_built;

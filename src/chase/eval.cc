@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "match/candidate_set.h"
@@ -35,6 +37,8 @@ DistanceIndex BuildDist(const Graph& g, size_t num_threads) {
   WQE_SPAN("index.dist_pll");
   return DistanceIndex(g, DistOptions(num_threads));
 }
+
+LabelId FocusLabel(const PatternQuery& q) { return q.node(q.focus()).label; }
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -148,7 +152,6 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   h_evaluate_ns_ = &obs_->metrics.histogram("chase.evaluate_ns");
   c_delta_hits_ = &obs_->metrics.counter("delta_eval.hits");
   c_full_fallbacks_ = &obs_->metrics.counter("delta_eval.full_fallbacks");
-  c_reuse_hits_ = &obs_->metrics.counter("delta_eval.reuse_hits");
   c_reverified_ = &obs_->metrics.counter("delta_eval.reverified");
   c_skipped_ = &obs_->metrics.counter("delta_eval.skipped");
   h_reverify_ns_ = &obs_->metrics.histogram("delta_eval.reverify_ns");
@@ -172,7 +175,7 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   }
   // V_{u_o}: the label class of the original focus (all nodes any rewrite's
   // focus could match).
-  const LabelId focus_label = w_.query.node(w_.query.focus()).label;
+  const LabelId focus_label = FocusLabel(w_.query);
   if (focus_label == kWildcardSymbol) {
     universe_.resize(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) universe_[v] = v;
@@ -203,6 +206,19 @@ uint64_t ChaseContext::graph_fingerprint() {
   return graph_fingerprint_;
 }
 
+void ChaseContext::RequireQuestionFocus(const PatternQuery& q) const {
+  // Operators never change a label or the focus, so only a caller can hand
+  // in such a query; checked in every build type, since the wrong answer it
+  // would produce is silent.
+  if (FocusLabel(q) == FocusLabel(w_.query)) return;
+  std::fprintf(stderr,
+               "ChaseContext: rewrite focus label %u differs from the "
+               "question's focus label %u\n",
+               static_cast<unsigned>(FocusLabel(q)),
+               static_cast<unsigned>(FocusLabel(w_.query)));
+  std::abort();
+}
+
 ChaseContext::DeltaClass ChaseContext::ClassifyDelta(
     const std::vector<Op>& applied) {
   // Polarity is the only thing that matters: the answer-set inclusions
@@ -226,84 +242,32 @@ ChaseContext::DeltaClass ChaseContext::ClassifyDelta(
   return DeltaClass::kFull;  // mixed polarity: neither inclusion holds
 }
 
-std::vector<NodeId> ChaseContext::RelaxDelta(
-    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
-    std::shared_ptr<const StarEvalState>* state) {
-  StarMatcher& sm = star_matcher_;
-  // Relaxation may enlarge the candidate space, so every star table is
-  // needed at full strength: reuse unchanged ones, materialize the rest.
-  const uint64_t reuse_before = sm.stats().reuse_hits;
-  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
-                             /*materialize_missing=*/true);
-  c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
-  const auto allowed = sm.AllowedSets(q, *st);
-
-  std::vector<NodeId> candidates;
-  if (allowed[q.focus()].has_value()) {
-    candidates = *allowed[q.focus()];
-  } else {
-    candidates = sm.FocusCandidates(q, key).Take();
-  }
-  // Q(G) ⊆ Q'(G): the parent's matches are child matches already — only
-  // candidates outside them can change verdict.
-  std::vector<NodeId> to_verify =
-      match::CandidateSet::Difference(candidates, parent.matches);
-  c_skipped_->Inc(parent.matches.size());
-  c_reverified_->Inc(to_verify.size());
-
-  std::function<double(NodeId)> priority = [this](NodeId v) {
-    return rep_.ClosenessOf(v);
-  };
-  const uint64_t t0 = NowNs();
-  std::vector<NodeId> verified =
-      sm.VerifyCandidates(q, key, std::move(to_verify), allowed, &priority);
-  h_reverify_ns_->Observe(NowNs() - t0);
-
-  *state = std::move(st);
-  return match::CandidateSet::Union(parent.matches, verified);
-}
-
-std::vector<NodeId> ChaseContext::RefineDelta(
-    const PatternQuery& q, const QueryKey& key, const EvalResult& parent,
-    std::shared_ptr<const StarEvalState>* state) {
-  StarMatcher& sm = star_matcher_;
-  // Q'(G) ⊆ Q(G): only the parent's matches can survive, and verification
-  // is complete without any table — so take tables opportunistically (reuse
-  // or a cache peek) and never pay a materialization. Absent tables merely
-  // filter less before the exact checks.
-  const uint64_t reuse_before = sm.stats().reuse_hits;
-  auto st = sm.ResolveTables(q, key, parent.star_state.get(),
-                             /*materialize_missing=*/false);
-  c_reuse_hits_->Inc(sm.stats().reuse_hits - reuse_before);
-  const auto allowed = sm.AllowedSets(q, *st);
-
-  // Pre-filter: a child match must occur in the focus position of every
-  // child star table we do hold.
-  std::vector<NodeId> candidates;
-  candidates.reserve(parent.matches.size());
-  for (NodeId v : parent.matches) {
-    bool viable = true;
-    for (const auto& table : st->tables) {
-      if (table != nullptr && !table->ContainsFocusOccurrence(v)) {
-        viable = false;
-        break;
-      }
-    }
-    if (viable) candidates.push_back(v);
-  }
-  c_skipped_->Inc(parent.matches.size() - candidates.size());
+std::vector<NodeId> ChaseContext::DeltaMatches(DeltaClass cls,
+                                               const PatternQuery& q,
+                                               const QueryKey& key,
+                                               const EvalResult& parent) {
+  // Refine: Q'(G) ⊆ Q(G), so only the parent's matches can survive. Relax:
+  // Q(G) ⊆ Q'(G), so the parent's matches are child matches already and
+  // only the child's focus candidates outside them can change verdict.
+  // Either set is already small: the exact search (forward-checked) rejects
+  // a candidate within a few states, which star views would not beat.
+  const bool relax = cls == DeltaClass::kRelax;
+  std::vector<NodeId> candidates =
+      relax ? match::CandidateSet::Difference(
+                  star_matcher_.FocusCandidates(q, key).Take(), parent.matches)
+            : parent.matches;
+  if (relax) c_skipped_->Inc(parent.matches.size());
   c_reverified_->Inc(candidates.size());
-
-  std::function<double(NodeId)> priority = [this](NodeId v) {
-    return rep_.ClosenessOf(v);
-  };
+  // Every candidate is verified and the result sorted, so an exemplar-
+  // closeness order would only cost time.
+  const std::vector<std::optional<std::vector<NodeId>>> unrestricted(
+      q.num_nodes());
   const uint64_t t0 = NowNs();
-  std::vector<NodeId> verified =
-      sm.VerifyCandidates(q, key, std::move(candidates), allowed, &priority);
+  std::vector<NodeId> verified = star_matcher_.VerifyCandidates(
+      q, key, std::move(candidates), unrestricted, /*priority=*/nullptr);
   h_reverify_ns_->Observe(NowNs() - t0);
-
-  *state = std::move(st);
-  return verified;
+  return relax ? match::CandidateSet::Union(parent.matches, verified)
+               : verified;
 }
 
 std::shared_ptr<EvalResult> ChaseContext::Evaluate(
@@ -325,6 +289,7 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
                                                      const EvalResult* parent) {
   WQE_SPAN("chase.evaluate");
   const uint64_t t0 = NowNs();
+  RequireQuestionFocus(q);
   auto result = std::make_shared<EvalResult>();
   result->query = q;
   result->key = key;
@@ -352,7 +317,6 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
         stats.cache_hits = views.cache_hits;
         stats.cache_misses = views.cache_misses;
         stats.tables_built = views.tables_built;
-        stats.delta_reuse_hits = views.reuse_hits;  // only deltas reuse
       }
     } tally{star_matcher_.stats(), stats_};
     if (cls == DeltaClass::kFull) {
@@ -360,15 +324,11 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
       std::function<double(NodeId)> priority = [this](NodeId v) {
         return rep_.ClosenessOf(v);
       };
-      auto eval = star_matcher_.Evaluate(q, key, &priority);
-      result->matches = std::move(eval.matches);
-      result->star_state = std::move(eval.state);
+      result->matches = star_matcher_.Evaluate(q, key, &priority).matches;
     } else {
       ++stats_.delta_hits;
       c_delta_hits_->Inc();
-      result->matches = cls == DeltaClass::kRelax
-                            ? RelaxDelta(q, key, *parent, &result->star_state)
-                            : RefineDelta(q, key, *parent, &result->star_state);
+      result->matches = DeltaMatches(cls, q, key, *parent);
     }
     if (opts_.use_memo) match_memo_.emplace(key, result->matches);
   }
@@ -404,6 +364,7 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
   // matcher: no star views, no cache, no memo, no chase counters (those are
   // this paper's contributions; the baseline of [21] has none of them).
   // cl⁺ stays 0 — the baseline never prunes by bound.
+  RequireQuestionFocus(q);
   auto result = std::make_shared<EvalResult>();
   result->query = std::move(q);
   result->key = std::move(key);

@@ -41,12 +41,6 @@ struct EvalResult {
   bool satisfies_exemplar = false;
 
   bool refined = false;  // ops contains at least one refinement operator
-
-  /// Star-view state of the evaluation that produced `matches` (the
-  /// decomposition plus resolved tables). Null on memo hits and on results
-  /// restored from elsewhere. Delta evaluation reuses it for this node's
-  /// children — null simply forces table resolution through the cache.
-  std::shared_ptr<const StarEvalState> star_state;
 };
 
 /// Why the chase stopped. Anytime-mode callers (fig10l) need to distinguish
@@ -75,9 +69,9 @@ struct ChaseStats {
   // Delta evaluation (ChaseContext::Evaluate with a parent and applied ops).
   uint64_t delta_hits = 0;            // evaluated incrementally from a parent
   uint64_t delta_full_fallbacks = 0;  // delta offers evaluated in full
-  uint64_t delta_reuse_hits = 0;      // parent star tables reused
   // Star-view traffic of this context's star matcher, root evaluation
-  // included (shared caches count each context's own lookups here).
+  // included (shared caches count each context's own lookups here). Only
+  // full evaluations read star views.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t tables_built = 0;
@@ -214,15 +208,18 @@ class ChaseContext {
   ///   refine-only ops ⇒ Q'(G) ⊆ Q(G)  — only the parent's matches can
   ///                                      survive.
   ///
-  /// Either way the parent's star tables are reused for stars whose
-  /// signature is unchanged and only the affected candidates are verified,
-  /// with the same exact procedure the full path runs — so the match set,
-  /// and every closeness value downstream, is identical to a full
-  /// evaluation. When the delta is not provably local (no parent, an empty
-  /// or no-op payload, mixed polarity) the rewrite is evaluated in full and
-  /// counted as a delta_eval.full_fallbacks. Operators on the focus node
-  /// stay incremental: the inclusions are polarity properties of the whole
+  /// Either way only the affected candidates are verified, with the exact
+  /// matcher the full path runs and no star view — so the match set, and
+  /// every closeness value downstream, is identical to a full evaluation.
+  /// When the delta is not provably local (no parent, an empty or no-op
+  /// payload, mixed polarity) the rewrite is evaluated in full and counted
+  /// as a delta_eval.full_fallbacks. Operators on the focus node stay
+  /// incremental: the inclusions are polarity properties of the whole
   /// pattern. May throw DeadlineExceeded (the engine's anytime stop).
+  ///
+  /// Every form aborts, in every build type, on a query whose focus label
+  /// differs from the question's: its matches would lie outside V_{u_o}, and
+  /// its relevance split and closeness would mean nothing.
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
                                        const QueryKey& key, OpSequence ops,
                                        const EvalResult* parent,
@@ -295,6 +292,9 @@ class ChaseContext {
  private:
   enum class DeltaClass { kFull, kRelax, kRefine };
 
+  /// Aborts unless `q`'s focus label is the question's (see Evaluate).
+  void RequireQuestionFocus(const PatternQuery& q) const;
+
   /// kRelax / kRefine when every applied op has that polarity; kFull
   /// otherwise (empty payload, noops, mixed polarity).
   static DeltaClass ClassifyDelta(const std::vector<Op>& applied);
@@ -305,18 +305,12 @@ class ChaseContext {
                                          const QueryKey& key, OpSequence ops,
                                          const EvalResult* parent);
 
-  /// Relax-only delta: parent matches carry over; verify only the star-
-  /// pruned candidates outside them and merge.
-  std::vector<NodeId> RelaxDelta(const PatternQuery& q, const QueryKey& key,
-                                 const EvalResult& parent,
-                                 std::shared_ptr<const StarEvalState>* state);
-
-  /// Refine-only delta: filter parent matches against the child tables we
-  /// can get for free (reuse or cache — never materialized), then re-verify
-  /// the survivors exactly.
-  std::vector<NodeId> RefineDelta(const PatternQuery& q, const QueryKey& key,
-                                  const EvalResult& parent,
-                                  std::shared_ptr<const StarEvalState>* state);
+  /// The child's match set from `parent`'s alone, with no star view: a
+  /// refine child re-verifies the parent's matches; a relax child keeps them
+  /// and verifies only its own focus candidates outside them.
+  std::vector<NodeId> DeltaMatches(DeltaClass cls, const PatternQuery& q,
+                                   const QueryKey& key,
+                                   const EvalResult& parent);
 
   const Graph& g_;
   WhyQuestion w_;
@@ -330,7 +324,6 @@ class ChaseContext {
   obs::Histogram* h_evaluate_ns_ = nullptr;
   obs::Counter* c_delta_hits_ = nullptr;
   obs::Counter* c_full_fallbacks_ = nullptr;
-  obs::Counter* c_reuse_hits_ = nullptr;
   obs::Counter* c_reverified_ = nullptr;
   obs::Counter* c_skipped_ = nullptr;
   obs::Histogram* h_reverify_ns_ = nullptr;

@@ -143,7 +143,6 @@ obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(ChaseContext& ctx,
   rec.store_misses = result.stats.store_misses;
   rec.delta_hits = result.stats.delta_hits;
   rec.delta_full_fallbacks = result.stats.delta_full_fallbacks;
-  rec.delta_reuse_hits = result.stats.delta_reuse_hits;
 
   if (result.found()) {
     const WhyAnswer& best = result.best();
@@ -199,11 +198,9 @@ std::string ChaseReport::ExplainText(const obs::QueryLogRecord& rec) {
                 static_cast<unsigned long long>(rec.store_misses));
   out << line;
   std::snprintf(line, sizeof(line),
-                "  delta: %llu incremental / %llu full, %llu tables reused, "
-                "%llu bound cuts\n",
+                "  delta: %llu incremental / %llu full, %llu bound cuts\n",
                 static_cast<unsigned long long>(rec.delta_hits),
                 static_cast<unsigned long long>(rec.delta_full_fallbacks),
-                static_cast<unsigned long long>(rec.delta_reuse_hits),
                 static_cast<unsigned long long>(rec.bound_cuts));
   out << line;
 

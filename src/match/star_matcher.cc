@@ -127,14 +127,12 @@ std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
     if (deadline_ != nullptr) deadline_->ThrowIfExpired();
     std::string signature = star.Signature(q);
     std::shared_ptr<const StarTable> table;
-    // A parent's table under the same signature is the table the cache
-    // would share anyway — take it without cache traffic (no score churn,
-    // no hit/miss skew from the delta path's extra lookups).
+    // A reused table under the same signature is the table the cache
+    // would share anyway — take it without cache traffic.
     if (reuse != nullptr) {
       for (size_t j = 0; j < reuse->signatures.size(); ++j) {
         if (reuse->tables[j] != nullptr && reuse->signatures[j] == signature) {
           table = reuse->tables[j];
-          ++stats_.reuse_hits;
           break;
         }
       }
@@ -268,11 +266,9 @@ StarMatcher::Evaluation StarMatcher::Evaluate(
     const PatternQuery& q, const QueryKey& key,
     const std::function<double(NodeId)>* priority) {
   ++stats_.evaluations;
-  Evaluation eval;
-  eval.state = ResolveTables(q, key, /*reuse=*/nullptr,
-                             /*materialize_missing=*/true);
-
-  const auto allowed_sets = AllowedSets(q, *eval.state);
+  const auto allowed_sets =
+      AllowedSets(q, *ResolveTables(q, key, /*reuse=*/nullptr,
+                                    /*materialize_missing=*/true));
 
   std::vector<NodeId> candidates;
   if (allowed_sets[q.focus()].has_value()) {
@@ -284,9 +280,8 @@ StarMatcher::Evaluation StarMatcher::Evaluate(
   stats_.focus_candidates += candidates.size();
   if (c_candidates_ != nullptr) c_candidates_->Inc(candidates.size());
 
-  eval.matches = VerifyCandidates(q, key, std::move(candidates), allowed_sets,
-                                  priority);
-  return eval;
+  return {VerifyCandidates(q, key, std::move(candidates), allowed_sets,
+                           priority)};
 }
 
 }  // namespace wqe

@@ -26,19 +26,13 @@ struct StarEvalStats {
   uint64_t tables_built = 0;
   uint64_t cache_hits = 0;        // view-cache Gets that found the table
   uint64_t cache_misses = 0;      // view-cache Gets that did not
-  uint64_t reuse_hits = 0;        // tables inherited from a parent StarEvalState
   uint64_t focus_candidates = 0;  // before star pruning
   uint64_t focus_verified = 0;    // after star pruning
 };
 
-/// Reusable star-view state of one evaluation: the decomposition, each
-/// star's cache signature, and its resolved table (parallel vectors). Delta
-/// evaluation (ChaseContext::Evaluate) threads this from a parent chase node
-/// to its children so untouched stars are never re-materialized —
-/// signature equality is exactly the view cache's sharing condition, so a
-/// reused table is byte-identical to a rebuilt one. Table entries may be
-/// null when the state was resolved with materialize_missing = false (the
-/// refine-only path, which is sound against any subset of the views).
+/// Star-view state of one evaluation: the decomposition, each star's cache
+/// signature, and its resolved table (parallel vectors). Table entries may
+/// be null when the state was resolved with materialize_missing = false.
 struct StarEvalState {
   std::vector<StarQuery> stars;
   std::vector<std::string> signatures;
@@ -89,7 +83,6 @@ class StarMatcher {
 
   struct Evaluation {
     std::vector<NodeId> matches;  // Q(G), sorted ascending
-    std::shared_ptr<const StarEvalState> state;
   };
 
   // Every entry point below takes the rewrite's key (= QueryKey::Of(q)),
@@ -108,8 +101,8 @@ class StarMatcher {
   /// The focus candidate set V_{u_o} as a pipeline selection vector:
   /// label-bucket seed + compiled predicate stage (or the interpreted scan
   /// when the pipeline is off). Bumps the match.stage.seeded/filtered
-  /// funnel; the delta evaluation path's relax step consumes this instead of
-  /// reaching into the candidate scan itself.
+  /// funnel; a relax delta (ChaseContext::Evaluate) takes its candidates
+  /// from here.
   match::CandidateSet FocusCandidates(const PatternQuery& q,
                                       const QueryKey& key);
   match::CandidateSet FocusCandidates(const PatternQuery& q) {
@@ -117,12 +110,12 @@ class StarMatcher {
   }
 
   /// Decomposes `q` and resolves one table per star. Resolution order per
-  /// star: (1) a table in `reuse` under the same signature — free, counted as
-  /// stats_.reuse_hits, no cache traffic; (2) the view cache (Get when
-  /// materializing, a scoreless Peek otherwise); (3) a fresh Materialize +
-  /// cache Put, unless `materialize_missing` is false, which leaves the slot
-  /// null instead (sound for refine-only re-verification: absent tables only
-  /// weaken pruning, never correctness).
+  /// star: (1) a table in `reuse` under the same signature — no cache
+  /// traffic; (2) the view cache (Get when materializing, a scoreless Peek
+  /// otherwise); (3) a fresh Materialize + cache Put, unless
+  /// `materialize_missing` is false, which leaves the slot null instead
+  /// (absent tables only weaken pruning, never correctness). Evaluate passes
+  /// no `reuse` and materializes.
   std::shared_ptr<const StarEvalState> ResolveTables(
       const PatternQuery& q, const QueryKey& key, const StarEvalState* reuse,
       bool materialize_missing);

@@ -196,8 +196,6 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
                     });
     std::sort(focus_occ.begin(), focus_occ.end());  // BFS order; no repeats
   }
-  table->RebuildFocusBits();
-
   return table;
 }
 

@@ -1,7 +1,6 @@
 #ifndef WQE_MATCH_STAR_TABLE_H_
 #define WQE_MATCH_STAR_TABLE_H_
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 
 #include "common/timer.h"
 #include "graph/bfs.h"
-#include "match/candidate_set.h"
 #include "match/filter_plan.h"
 #include "match/star.h"
 
@@ -48,18 +46,6 @@ class StarTable {
     return focus_occ_;
   }
 
-  /// Whether `v` is a focus occurrence — the delta evaluation path's
-  /// per-candidate probe (chase/delta_eval): a refine-only re-verification
-  /// intersects the (small) parent match set with each surviving star's
-  /// focus bitset, O(1) per probe, without building full occurrence
-  /// intersections. Falls back to binary search when the bitset stayed
-  /// disengaged (sparse occurrences over a huge id range).
-  bool ContainsFocusOccurrence(NodeId v) const {
-    if (focus_bits_.engaged()) return focus_bits_.Test(v);
-    const std::vector<NodeId>& occ = focus_occurrences();
-    return std::binary_search(occ.begin(), occ.end(), v);
-  }
-
   /// The viable centers (sorted, unique). Tables are addressed by *role*
   /// (center / spoke index / focus), never by query node id: the view cache
   /// shares tables across rewrites whose node ids differ but whose star
@@ -88,21 +74,11 @@ class StarTable {
     return star_.center != focus_ && star_.focus_spoke < 0;
   }
 
-  /// (Re)derives the focus bitset from the focus occurrences. Called after
-  /// the occurrence sets settle — by the materializer and by snapshot
-  /// decode, so heap-built and store-loaded tables probe identically. The
-  /// memory cap keeps the bitset within a small factor of the occurrences.
-  void RebuildFocusBits() {
-    const std::vector<NodeId>& occ = focus_occurrences();
-    focus_bits_.Assign(occ, std::max<size_t>(256, occ.size()));
-  }
-
   StarQuery star_;
   QNodeId focus_;
   std::vector<NodeId> focus_occ_;  // empty unless OwnsFocusOccurrences()
   std::vector<NodeId> center_occ_;
   std::vector<std::vector<NodeId>> spoke_occ_;  // parallel to star_.spokes
-  match::RangeBitset focus_bits_;  // derived, not serialized
 };
 
 /// Builds star tables against a fixed graph. Holds BFS scratch; concurrent

@@ -45,9 +45,9 @@ class ViewCache {
   std::shared_ptr<const StarTable> Get(const std::string& signature);
 
   /// Looks up a table without touching scores or hit/miss accounting — the
-  /// delta evaluation path's opportunistic probe (chase/delta_eval): a
-  /// refine-only re-verification can proceed without the table, so an absent
-  /// entry is not a miss and a present one earned no retention credit.
+  /// probe of StarMatcher::ResolveTables when it would not build a missing
+  /// table, so an absent entry is not a miss and a present one earned no
+  /// retention credit.
   std::shared_ptr<const StarTable> Peek(const std::string& signature) const;
 
   /// Inserts a table, evicting least-hit entries if over capacity. A table

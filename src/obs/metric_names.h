@@ -28,7 +28,6 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "chase.steps",
     "delta_eval.full_fallbacks",
     "delta_eval.hits",
-    "delta_eval.reuse_hits",
     "delta_eval.reverified",
     "delta_eval.skipped",
     "match.ball.fills",

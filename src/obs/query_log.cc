@@ -72,7 +72,6 @@ std::string QueryLogRecord::ToJson() const {
       << ",\"bound_cuts\":" << bound_cuts
       << ",\"delta_hits\":" << delta_hits
       << ",\"delta_full_fallbacks\":" << delta_full_fallbacks
-      << ",\"delta_reuse_hits\":" << delta_reuse_hits
       << ",\"cache_hits\":" << cache_hits
       << ",\"cache_misses\":" << cache_misses
       << ",\"tables_built\":" << tables_built
@@ -126,7 +125,6 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const JsonValue& v) {
   rec.bound_cuts = U64Or(v, "bound_cuts", 0);
   rec.delta_hits = U64Or(v, "delta_hits", 0);
   rec.delta_full_fallbacks = U64Or(v, "delta_full_fallbacks", 0);
-  rec.delta_reuse_hits = U64Or(v, "delta_reuse_hits", 0);
   rec.cache_hits = U64Or(v, "cache_hits", 0);
   rec.cache_misses = U64Or(v, "cache_misses", 0);
   rec.tables_built = U64Or(v, "tables_built", 0);

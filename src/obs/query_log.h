@@ -65,7 +65,6 @@ struct QueryLogRecord {
   // ---- incremental evaluation (deltas for this solve) ---------------------
   uint64_t delta_hits = 0;            // evaluations served by the delta path
   uint64_t delta_full_fallbacks = 0;  // deltas not provably local
-  uint64_t delta_reuse_hits = 0;      // star tables inherited from a parent
 
   // ---- caches & views consulted (deltas for this solve) -------------------
   uint64_t cache_hits = 0;     // ViewCache

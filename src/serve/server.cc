@@ -359,7 +359,6 @@ std::string Server::StatuszJson() const {
       << ",\"evictions\":" << counter("cache.evictions")
       << ",\"entries\":" << cache_.size() << '}';
   out << ",\"delta_eval\":{\"hits\":" << counter("delta_eval.hits")
-      << ",\"reuse_hits\":" << counter("delta_eval.reuse_hits")
       << ",\"full_fallbacks\":" << counter("delta_eval.full_fallbacks")
       << ",\"reverified\":" << counter("delta_eval.reverified")
       << ",\"skipped\":" << counter("delta_eval.skipped") << '}';

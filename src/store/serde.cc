@@ -227,10 +227,6 @@ Status Serde::DecodeStarTable(Reader& r, size_t num_nodes,
       }
     }
   }
-  // The focus bitset is derived, never serialized: rebuild it so snapshot-
-  // loaded tables answer ContainsFocusOccurrence exactly like heap-built
-  // ones.
-  table->RebuildFocusBits();
   *out = std::move(table);
   return Status::OK();
 }

@@ -292,7 +292,8 @@ PatternQuery RandomQuery(Rng& rng, Graph& g, size_t max_nodes) {
 /// A context whose exemplar is drawn from the focus's candidate class so the
 /// rep is usually nontrivial and operator generation has something to chew.
 std::unique_ptr<ChaseContext> MakeContext(Graph& g, const PatternQuery& q,
-                                          bool use_memo = true) {
+                                          bool use_memo = true,
+                                          size_t num_threads = 1) {
   std::vector<NodeId> entities = ComputeCandidates(g, q, q.focus());
   if (entities.empty()) {
     entities = {0, 1};
@@ -305,6 +306,7 @@ std::unique_ptr<ChaseContext> MakeContext(Graph& g, const PatternQuery& q,
   ChaseOptions o;
   o.budget = 3;
   o.use_memo = use_memo;
+  o.num_threads = num_threads;
   return std::make_unique<ChaseContext>(g, w, o);
 }
 
@@ -312,44 +314,104 @@ uint64_t Counter(ChaseContext& ctx, const char* name) {
   return ctx.obs().metrics.counter(name).Value();
 }
 
-TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
-  uint64_t delta_hits_total = 0;
-  for (const uint64_t seed : {3u, 17u, 91u, 404u}) {
-    Rng rng(seed);
-    Graph g = RandomAttributedGraph(rng, 14, 30, 3);
-    ReferenceMatcher reference(g);
-    PatternQuery q = RandomQuery(rng, g, 4);
-    auto ctx = MakeContext(g, q);
-
-    ChaseNode root_node;
-    root_node.eval = ctx->root();
-    GenerateOps(*ctx, root_node, /*best_cl=*/-1e18, /*per_class_cap=*/0,
-                nullptr);
-    size_t tried = 0;
-    for (const ScoredOp& scored : root_node.queue) {
-      if (tried >= 12) break;
-      PatternQuery child = q;
-      if (!Apply(scored.op, &child, ctx->options().max_bound)) continue;
-      ++tried;
-      OpSequence ops;
-      ops.Append(scored.op);
-      auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
-                                ctx->root().get(), {scored.op});
-      EXPECT_EQ(eval->matches, reference.Answer(child))
-          << "seed=" << seed << " op=" << scored.op.ToString(g.schema());
-      // The delta result must also agree byte-for-byte with the full path.
-      ChaseContext full_ctx(g, {q, ctx->question().exemplar}, ctx->options());
-      auto full = full_ctx.Evaluate(child, ops);
-      EXPECT_EQ(eval->matches, full->matches);
-      EXPECT_EQ(eval->cl, full->cl);
-      EXPECT_EQ(eval->cl_plus, full->cl_plus);
-      EXPECT_EQ(eval->satisfies_exemplar, full->satisfies_exemplar);
-    }
-    delta_hits_total += Counter(*ctx, "delta_eval.hits");
+/// Relaxations on the focus side of `q`: removing and loosening each focus
+/// literal, and widening each focus-incident edge bound. They grow the focus
+/// candidate set, so a relax child's new matches can lie outside every set
+/// the parent's evaluation read.
+std::vector<Op> FocusRelaxations(const PatternQuery& q, uint32_t max_bound) {
+  std::vector<Op> out;
+  const QNodeId f = q.focus();
+  for (const Literal& lit : q.node(f).literals) {
+    Op rm;
+    rm.kind = OpKind::kRmL;
+    rm.u = f;
+    rm.lit = lit;
+    out.push_back(rm);
+    Op rx = rm;
+    rx.kind = OpKind::kRxL;
+    rx.new_lit = lit;
+    rx.new_lit.constant = Value::Num(lit.constant.num() - 2);  // x >= c - 2
+    out.push_back(rx);
   }
-  // Every generated op is a pure-polarity single-op payload, so all of the
-  // checks above must have exercised the incremental paths.
-  EXPECT_GT(delta_hits_total, 0u);
+  for (const QueryEdge& e : q.edges()) {
+    if ((e.from == f || e.to == f) && e.bound < max_bound) {
+      Op rx;
+      rx.kind = OpKind::kRxE;
+      rx.u = e.from;
+      rx.v = e.to;
+      rx.bound = e.bound;
+      rx.new_bound = e.bound + 1;
+      out.push_back(rx);
+    }
+  }
+  return out;
+}
+
+TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    uint64_t delta_hits_total = 0;
+    size_t focus_relax_gains = 0;
+    for (const uint64_t seed : {3u, 17u, 91u, 404u}) {
+      Rng rng(seed);
+      Graph g = RandomAttributedGraph(rng, 14, 30, 3);
+      ReferenceMatcher reference(g);
+      PatternQuery q = RandomQuery(rng, g, 4);
+      if (q.node(q.focus()).literals.empty()) {
+        q.AddLiteral(q.focus(), {g.schema().LookupAttr("x"), CmpOp::kGe,
+                                 Value::Num(4)});
+      }
+      auto ctx = MakeContext(g, q, /*use_memo=*/true, threads);
+      const uint32_t max_bound = ctx->options().max_bound;
+
+      // The root's single-op child under `op`, evaluated as a delta and
+      // checked against the oracle and the full path; null if inapplicable.
+      auto check = [&](const Op& op) -> std::shared_ptr<EvalResult> {
+        PatternQuery child = q;
+        if (!Apply(op, &child, max_bound)) return nullptr;
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " seed=" + std::to_string(seed) +
+                                  " op=" + op.ToString(g.schema());
+        OpSequence ops;
+        ops.Append(op);
+        auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
+                                  ctx->root().get(), {op});
+        EXPECT_EQ(eval->matches, reference.Answer(child)) << where;
+        // The delta result must also agree byte-for-byte with the full path.
+        ChaseContext full_ctx(g, {q, ctx->question().exemplar},
+                              ctx->options());
+        auto full = full_ctx.Evaluate(child, ops);
+        EXPECT_EQ(eval->matches, full->matches) << where;
+        EXPECT_EQ(eval->cl, full->cl) << where;
+        EXPECT_EQ(eval->cl_plus, full->cl_plus) << where;
+        EXPECT_EQ(eval->satisfies_exemplar, full->satisfies_exemplar) << where;
+        return eval;
+      };
+
+      ChaseNode root_node;
+      root_node.eval = ctx->root();
+      GenerateOps(*ctx, root_node, /*best_cl=*/-1e18, /*per_class_cap=*/0,
+                  nullptr);
+      size_t tried = 0;
+      for (const ScoredOp& scored : root_node.queue) {
+        if (tried >= 12) break;
+        if (check(scored.op) != nullptr) ++tried;
+      }
+      for (const Op& op : FocusRelaxations(q, max_bound)) {
+        const auto eval = check(op);
+        if (eval != nullptr &&
+            eval->matches.size() > ctx->root()->matches.size()) {
+          ++focus_relax_gains;
+        }
+      }
+      delta_hits_total += Counter(*ctx, "delta_eval.hits");
+    }
+    // Every op above is a pure-polarity single-op payload, so all of the
+    // checks must have exercised the incremental paths.
+    EXPECT_GT(delta_hits_total, 0u) << "threads=" << threads;
+    // Some focus-side relaxation admitted matches the parent lacked: new
+    // matches a relax child can only find among its own focus candidates.
+    EXPECT_GT(focus_relax_gains, 0u) << "threads=" << threads;
+  }
 }
 
 TEST(DeltaEvalTest, MultiOpRelaxPayloadMatchesOracle) {
@@ -603,45 +665,76 @@ TEST(DeltaEvalTest, EngineBoundCutSkipsRefineOnlyChildrenPreEvaluation) {
   EXPECT_EQ(evaluated, 2u);
 }
 
-TEST(DeltaEvalTest, RefineDeltaReusesParentTablesWithoutMaterializing) {
+TEST(DeltaEvalTest, DeltaChildrenVerifyWithoutStarViews) {
   Rng rng(19);
   Graph g = RandomAttributedGraph(rng, 14, 30, 3);
-  // A 4-node path with the focus at one end and the refinement at the other:
-  // the star centered mid-path neither contains the refined node nor changes
-  // its focus distance, so its signature — and its table — must carry over.
+  ReferenceMatcher reference(g);
+  const AttrId x = g.schema().LookupAttr("x");
+  // A 4-node path with a focus literal: the refine child tightens the far
+  // end, the relax child drops the focus literal.
   PatternQuery q;
   const LabelId l0 = g.schema().LookupLabel("L0");
   for (int i = 0; i < 4; ++i) q.AddNode(l0);
   q.AddEdge(0, 1, 1);
   q.AddEdge(1, 2, 1);
   q.AddEdge(2, 3, 1);
+  q.AddLiteral(0, {x, CmpOp::kGe, Value::Num(3)});
   q.SetFocus(0);
-  auto ctx = MakeContext(g, q, /*use_memo=*/false);
-  ASSERT_NE(ctx->root()->star_state, nullptr);
-  const AttrId x = g.schema().LookupAttr("x");
+  WhyQuestion w;
+  w.query = q;
+  const std::vector<NodeId> entities = {0, 1};
+  w.exemplar = Exemplar::FromEntities(g, entities);
+  ChaseOptions o;
+  o.budget = 3;
+  o.use_memo = false;
+
+  // A shared cache warmed by an earlier question's root evaluation.
+  GraphIndexes indexes(g);
+  ViewCache shared;
+  { ChaseContext warm(g, &indexes, &shared, w, o); }
+  ASSERT_GT(shared.size(), 0u);
+  ChaseContext ctx(g, &indexes, &shared, w, o);
+  ASSERT_GT(ctx.stats().cache_hits, 0u);
 
   Op refine;
   refine.kind = OpKind::kAddL;
   refine.u = 3;
   refine.lit = {x, CmpOp::kLe, Value::Num(9)};
-  PatternQuery child = q;
-  ASSERT_TRUE(Apply(refine, &child, ctx->options().max_bound));
-  OpSequence ops;
-  ops.Append(refine);
+  Op relax;
+  relax.kind = OpKind::kRmL;
+  relax.u = 0;
+  relax.lit = q.node(0).literals[0];
+  for (const Op& op : {refine, relax}) {
+    PatternQuery child = q;
+    ASSERT_TRUE(Apply(op, &child, o.max_bound));
+    OpSequence ops;
+    ops.Append(op);
+    const ChaseStats before = ctx.stats();
+    const uint64_t built = ctx.star_matcher().stats().tables_built;
+    const uint64_t shared_hits = shared.hits();
+    const uint64_t shared_misses = shared.misses();
+    const size_t shared_size = shared.size();
+    auto eval = ctx.Evaluate(child, QueryKey::Of(child), ops,
+                             ctx.root().get(), {op});
+    const std::string where = op.ToString(g.schema());
+    EXPECT_EQ(ctx.stats().delta_hits, before.delta_hits + 1) << where;
+    EXPECT_EQ(eval->matches, reference.Answer(child)) << where;
+    // Neither child builds, fetches or probes a star view.
+    EXPECT_EQ(ctx.star_matcher().stats().tables_built, built) << where;
+    EXPECT_EQ(ctx.stats().tables_built, before.tables_built) << where;
+    EXPECT_EQ(ctx.stats().cache_hits, before.cache_hits) << where;
+    EXPECT_EQ(ctx.stats().cache_misses, before.cache_misses) << where;
+    EXPECT_EQ(shared.hits(), shared_hits) << where;
+    EXPECT_EQ(shared.misses(), shared_misses) << where;
+    EXPECT_EQ(shared.size(), shared_size) << where;
 
-  const uint64_t built_before = ctx->star_matcher().stats().tables_built;
-  auto eval = ctx->Evaluate(child, QueryKey::Of(child), ops,
-                            ctx->root().get(), {refine});
-  // Q'(G) ⊆ Q(G): verification is complete without tables, so the refine
-  // path never pays a materialization.
-  EXPECT_EQ(ctx->star_matcher().stats().tables_built, built_before);
-  // Every child match survives from the parent set.
-  for (NodeId v : eval->matches) {
-    EXPECT_TRUE(std::binary_search(ctx->root()->matches.begin(),
-                                   ctx->root()->matches.end(), v));
+    // The same child evaluated in full still reads the views.
+    const auto full = ctx.Evaluate(child, ops);
+    EXPECT_EQ(full->matches, eval->matches) << where;
+    EXPECT_GT(ctx.stats().cache_hits + ctx.stats().cache_misses,
+              before.cache_hits + before.cache_misses)
+        << where;
   }
-  // The untouched stars' tables carried over from the parent state.
-  EXPECT_GT(ctx->star_matcher().stats().reuse_hits, 0u);
 }
 
 }  // namespace

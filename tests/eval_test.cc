@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "chase/next_op.h"
 #include "gen/product_demo.h"
 #include "reference_matcher.h"
@@ -221,21 +223,54 @@ TEST(ExactLiteralKeyTest, CloseConstantsKeepTheirOwnAnswersInOneContext) {
   EXPECT_NE(item_focus(5.0000003).Fingerprint(),
             item_focus(5.0000005).Fingerprint());
 
-  ChaseContext ctx(g, WhyQuestion{item_focus(5.0000003), Exemplar()},
-                   ChaseOptions());
+  // One context per focus shape: a context evaluates rewrites of its own
+  // question's focus only.
   ReferenceMatcher reference(g);
-  for (int round = 0; round < 2; ++round) {
-    for (const PatternQuery& q :
-         {item_focus(5.0000003), item_focus(5.0000005),
-          shop_focus(5.0000003), shop_focus(5.0000005)}) {
-      EXPECT_EQ(ctx.Evaluate(q, OpSequence())->matches, reference.Answer(q))
-          << q.Fingerprint();
+  const std::vector<std::function<PatternQuery(double)>> shapes = {
+      item_focus, shop_focus};
+  for (const auto& shape : shapes) {
+    ChaseContext ctx(g, WhyQuestion{shape(5.0000003), Exemplar()},
+                     ChaseOptions());
+    for (int round = 0; round < 2; ++round) {
+      for (const PatternQuery& q : {shape(5.0000003), shape(5.0000005)}) {
+        EXPECT_EQ(ctx.Evaluate(q, OpSequence())->matches, reference.Answer(q))
+            << q.Fingerprint();
+      }
     }
   }
   EXPECT_EQ(reference.Answer(item_focus(5.0000005)),
             (std::vector<NodeId>{high}));
   EXPECT_EQ(reference.Answer(shop_focus(5.0000003)),
             (std::vector<NodeId>{s1, s2}));
+}
+
+// A rewrite whose focus label differs from the question's has its matches
+// outside V_{u_o}; every build type refuses it instead of classifying them.
+TEST(FocusLabelDeathTest, EvaluateRefusesAnotherFocusLabel) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ProductDemo demo;
+  ChaseContext ctx(demo.graph(), demo.Question(), ChaseOptions());
+  PatternQuery other = demo.Query();
+  const LabelId focus_label = other.node(other.focus()).label;
+  for (QNodeId u = 0; u < other.num_nodes(); ++u) {
+    if (other.node(u).label != focus_label) {
+      other.SetFocus(u);
+      break;
+    }
+  }
+  ASSERT_NE(other.node(other.focus()).label, focus_label);
+  Op relax;
+  relax.kind = OpKind::kRmE;
+  relax.u = other.edge(0).from;
+  relax.v = other.edge(0).to;
+  EXPECT_DEATH(ctx.Evaluate(other, OpSequence()), "focus label");
+  EXPECT_DEATH(ctx.Evaluate(other, QueryKey::Of(other), OpSequence(),
+                            ctx.root().get(), {relax}),
+               "focus label");
+  EXPECT_DEATH(ctx.EvaluateBaseline(other, OpSequence(), 0), "focus label");
+  // The question's own focus label passes.
+  EXPECT_EQ(ctx.Evaluate(demo.Query(), OpSequence())->matches,
+            ctx.root()->matches);
 }
 
 // Classify merges V_{u_o} with sorted match sets, so the universe must be

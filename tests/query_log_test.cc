@@ -159,6 +159,23 @@ TEST(QueryLogRecordTest, FromJsonToleratesAbsentFingerprints) {
   EXPECT_EQ(back.value().options_fingerprint, 0u);
 }
 
+// Lines written before the reuse tally was retired carry "delta_reuse_hits";
+// they still parse, with every other field intact.
+TEST(QueryLogRecordTest, FromJsonAcceptsRetiredReuseTally) {
+  const obs::QueryLogRecord rec = SampleRecord(2);
+  std::string json = rec.ToJson();
+  const std::string anchor = ",\"cache_hits\":";
+  const size_t pos = json.find(anchor);
+  ASSERT_NE(pos, std::string::npos) << json;
+  json.insert(pos, ",\"delta_reuse_hits\":7");
+  auto parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto back = obs::QueryLogRecord::FromJson(parsed.value());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().ToJson(), rec.ToJson());
+  EXPECT_EQ(rec.ToJson().find("reuse"), std::string::npos);
+}
+
 TEST(QueryLogTest, AppendAndLoad) {
   const std::string path = TempPath("append");
   std::remove(path.c_str());

@@ -73,11 +73,10 @@ void Render(const obs::JsonValue& doc, const std::string& host, int port,
               "entries %6.0f   evictions %6.0f\n",
               hits, misses, total > 0 ? 100.0 * hits / total : 0.0,
               Num(cache, "entries"), Num(cache, "evictions"));
-  std::printf("delta eval hits %9.0f   reuse  %7.0f   fallbacks %5.0f   "
+  std::printf("delta eval hits %9.0f   fallbacks %5.0f   "
               "reverified %5.0f   skipped %7.0f\n\n",
-              Num(delta, "hits"), Num(delta, "reuse_hits"),
-              Num(delta, "full_fallbacks"), Num(delta, "reverified"),
-              Num(delta, "skipped"));
+              Num(delta, "hits"), Num(delta, "full_fallbacks"),
+              Num(delta, "reverified"), Num(delta, "skipped"));
 
   std::printf("flights    recorded %7.0f   slow %6.0f   "
               "(curl /requestz for digests)\n",
