@@ -380,9 +380,10 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo,
   obs::TracerScope tracer_scope(&o.tracer);
 
   // The registry and tracer are shared across questions (sessions, benches);
-  // snapshot so this run's contribution can be carved out afterwards.
+  // snapshot so this run's contribution can be carved out afterwards. The
+  // phases are carved from the context's baseline, taken before its root
+  // evaluation, so they cover the evaluations its ChaseStats count.
   const ChaseStats before = ctx.stats();
-  const std::vector<obs::PhaseStat> phases_before = o.tracer.Phases();
 
   ChaseResult result;
   {
@@ -402,7 +403,8 @@ ChaseResult RunAlgorithm(ChaseContext& ctx, Algorithm algo,
     }
   }
 
-  result.stats.phases = obs::DiffPhases(phases_before, o.tracer.Phases());
+  result.stats.phases =
+      obs::DiffPhases(ctx.phase_baseline(), o.tracer.Phases());
 
   // Mirror the solver-loop counters into the metric registry. The per-call
   // metrics (evaluations, memo hits, evaluate latency) are incremented live

@@ -188,6 +188,10 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   rep_ = ComputeRepFromVsimSets(closeness_, w_.exemplar, vsim_sets_);
   cl_star_ = TheoreticalOptimal(rep_, universe_.size());
 
+  // The root evaluation is counted in stats_, so it is traced into this
+  // context's tracer after the baseline (see phase_baseline()).
+  obs::TracerScope tracer_scope(&obs_->tracer);
+  phase_baseline_ = obs_->tracer.Phases();
   root_ = Evaluate(w_.query, OpSequence());
 }
 

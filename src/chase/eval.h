@@ -289,6 +289,13 @@ class ChaseContext {
   /// questions) or a private instance otherwise — never null.
   obs::Observability& obs() { return *obs_; }
 
+  /// The context tracer's phases just before the root evaluation, which
+  /// runs traced into it: a solve record's phases are the difference from
+  /// here, so they cover every evaluation that stats() counts.
+  const std::vector<obs::PhaseStat>& phase_baseline() const {
+    return phase_baseline_;
+  }
+
  private:
   enum class DeltaClass { kFull, kRelax, kRefine };
 
@@ -343,6 +350,7 @@ class ChaseContext {
   RepResult rep_;
   double cl_star_ = 0;
 
+  std::vector<obs::PhaseStat> phase_baseline_;
   std::shared_ptr<EvalResult> root_;
   std::unordered_map<QueryKey, std::vector<NodeId>, QueryKey::Hash>
       match_memo_;

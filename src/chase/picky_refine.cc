@@ -75,35 +75,21 @@ WitnessSet CollectWitnesses(ChaseContext& ctx, const PatternQuery& q,
                             const QueryKey& key,
                             const std::vector<NodeId>& focus_nodes) {
   WitnessSet set;
-  Matcher& matcher = ctx.star_matcher().matcher();
   const size_t cap = ctx.options().max_witnesses;
-  const size_t threads = ResolveThreads(ctx.options().num_threads);
 
-  // Per-node valuation enumeration is independent; shard it over per-thread
-  // matchers (own BFS scratch, shared frozen graph/index) into
-  // index-addressed slots and fold in focus-node order.
+  // Per-node valuation enumeration is independent; shard it over the
+  // context matcher's workers into index-addressed slots and fold in
+  // focus-node order.
   std::vector<std::vector<std::vector<NodeId>>> assigns(focus_nodes.size());
-  auto collect = [&](size_t i, Matcher& m) {
-    m.Valuations(q, key, focus_nodes[i], cap,
-                 [&](const std::vector<NodeId>& assign) {
-                   assigns[i].push_back(assign);
-                   return true;
-                 });
-  };
-  if (threads <= 1 || focus_nodes.size() <= 1) {
-    for (size_t i = 0; i < focus_nodes.size(); ++i) collect(i, matcher);
-  } else {
-    PerThread<Matcher> workers(threads, [&ctx] {
-      return std::make_unique<Matcher>(ctx.graph(), &ctx.dist());
-    });
-    ParallelFor(threads, 0, focus_nodes.size(), /*grain=*/2,
-                [&](size_t i, size_t slot) {
-                  collect(i, slot == 0 ? matcher : workers.at(slot));
-                });
-    for (size_t slot = 1; slot < workers.size(); ++slot) {
-      if (Matcher* w = workers.created(slot)) matcher.stats().Merge(w->stats());
-    }
-  }
+  ctx.star_matcher().matcher().ShardProbes(
+      ctx.options().num_threads, focus_nodes.size(), /*grain=*/2,
+      [&](Matcher& m, size_t i) {
+        m.Valuations(q, key, focus_nodes[i], cap,
+                     [&](const std::vector<NodeId>& assign) {
+                       assigns[i].push_back(assign);
+                       return true;
+                     });
+      });
   for (size_t i = 0; i < focus_nodes.size(); ++i) {
     if (assigns[i].empty()) continue;
     set.focus_nodes.push_back(focus_nodes[i]);
@@ -343,21 +329,14 @@ std::vector<ScoredOp> GenerateRefineOps(ChaseContext& ctx, const EvalResult& cur
   // enumeration order so the scored list matches the serial path exactly.
   std::vector<RemovalEstimate> ests(pending.size());
   const size_t threads = ResolveThreads(ctx.options().num_threads);
-  if (threads <= 1 || pending.size() <= 1) {
-    BoundedBfs bfs(g);
-    for (size_t i = 0; i < pending.size(); ++i) {
-      ests[i] = EstimateRemoval(ctx, rm_w, im_w, pending[i].satisfies, bfs);
-    }
-  } else {
-    PerThread<BoundedBfs> scratch(
-        threads, [&g] { return std::make_unique<BoundedBfs>(g); });
-    ParallelFor(threads, 0, pending.size(), /*grain=*/1,
-                [&](size_t i, size_t slot) {
-                  ests[i] = EstimateRemoval(ctx, rm_w, im_w,
-                                            pending[i].satisfies,
-                                            scratch.at(slot));
-                });
-  }
+  PerThread<BoundedBfs> scratch(
+      threads, [&g] { return std::make_unique<BoundedBfs>(g); });
+  ParallelFor(threads, 0, pending.size(), /*grain=*/1,
+              [&](size_t i, size_t slot) {
+                ests[i] = EstimateRemoval(ctx, rm_w, im_w,
+                                          pending[i].satisfies,
+                                          scratch.at(slot));
+              });
   for (size_t i = 0; i < pending.size(); ++i) {
     if (pending[i].require_removal && ests[i].im_removed.empty()) continue;
     push(std::move(pending[i].op), std::move(ests[i]));

@@ -288,17 +288,11 @@ std::vector<ScoredOp> GenerateRelaxOps(ChaseContext& ctx, const EvalResult& cur)
 
   std::vector<std::vector<Op>> per_rc(rcs.size());
   const size_t threads = ResolveThreads(ctx.options().num_threads);
-  if (threads <= 1 || rcs.size() <= 1) {
-    BoundedBfs bfs(g);
-    for (size_t i = 0; i < rcs.size(); ++i) diagnose(rcs[i], bfs, per_rc[i]);
-  } else {
-    PerThread<BoundedBfs> scratch(
-        threads, [&g] { return std::make_unique<BoundedBfs>(g); });
-    ParallelFor(threads, 0, rcs.size(), /*grain=*/1,
-                [&](size_t i, size_t slot) {
-                  diagnose(rcs[i], scratch.at(slot), per_rc[i]);
-                });
-  }
+  PerThread<BoundedBfs> scratch(
+      threads, [&g] { return std::make_unique<BoundedBfs>(g); });
+  ParallelFor(threads, 0, rcs.size(), /*grain=*/1, [&](size_t i, size_t slot) {
+    diagnose(rcs[i], scratch.at(slot), per_rc[i]);
+  });
   for (size_t i = 0; i < rcs.size(); ++i) {
     for (Op& op : per_rc[i]) acc.Add(std::move(op), rcs[i]);
   }

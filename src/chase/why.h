@@ -32,10 +32,11 @@ struct ChaseOptions {
 
   /// Workers for the parallel evaluation layer: candidate verification,
   /// star-table materialization, operator scoring, and (for contexts that
-  /// own their indexes) the distance-index build. 0 = hardware concurrency,
-  /// 1 = the exact legacy serial path. Results are deterministic and
-  /// byte-identical across settings (index-addressed outputs + ordered
-  /// reductions; see DESIGN.md "Parallel execution").
+  /// own their indexes) the distance-index build. 0 = hardware concurrency;
+  /// 1 runs every loop inline on the calling thread (ParallelFor's one-slot
+  /// path). Results are deterministic and byte-identical across settings
+  /// (index-addressed outputs + ordered reductions; see DESIGN.md "Parallel
+  /// execution").
   size_t num_threads = 1;
 
   /// Maximum edge bound b_m.

@@ -79,8 +79,8 @@ size_t ResolveThreads(size_t requested);
 /// Contract (the repo's thread-safety/determinism rules, see DESIGN.md):
 ///  - slot 0 is always the calling thread; slots are in [0, num_threads).
 ///  - num_threads <= 1 (after ResolveThreads) or a range of at most `grain`
-///    indices runs entirely inline on slot 0 — the exact legacy serial path,
-///    no pool machinery touched.
+///    indices runs entirely inline on slot 0 with no pool machinery touched.
+///    This is the serial path: callers keep no serial copy of their loop.
 ///  - blocks are claimed dynamically, so which slot sees which index is
 ///    unspecified; callers MUST write results into index-addressed slots (or
 ///    per-slot accumulators merged by a commutative reduction) to stay
@@ -93,8 +93,8 @@ void ParallelFor(size_t num_threads, size_t begin, size_t end, size_t grain,
 
 /// Per-slot scratch holder for ParallelFor callers: one lazily-constructed T
 /// per execution slot. Construction happens on first access from the owning
-/// slot only, so T needs no synchronization of its own (the BFS scratch /
-/// Matcher instances this holds are mutable and thread-hostile by design).
+/// slot only, so T needs no synchronization of its own (the BFS scratch and
+/// accumulators this holds are mutable and thread-hostile by design).
 template <typename T>
 class PerThread {
  public:

@@ -4,29 +4,6 @@
 
 namespace wqe::match {
 
-void RangeBitset::Assign(std::span<const NodeId> members, size_t max_words) {
-  Reset();
-  if (members.empty()) return;
-  const NodeId lo = members.front();
-  const NodeId hi = members.back();
-  const uint64_t bits = static_cast<uint64_t>(hi) - lo + 1;
-  const uint64_t words = (bits + 63) / 64;
-  if (words > max_words) return;
-  base_ = lo;
-  num_bits_ = bits;
-  words_.assign(words, 0);
-  for (NodeId v : members) {
-    const uint64_t bit = static_cast<uint64_t>(v) - lo;
-    words_[bit >> 6] |= uint64_t{1} << (bit & 63);
-  }
-  engaged_ = true;
-}
-
-bool CandidateSet::Contains(NodeId v) const {
-  if (bits_.engaged()) return bits_.Test(v);
-  return std::binary_search(nodes_.begin(), nodes_.end(), v);
-}
-
 std::vector<NodeId> CandidateSet::Difference(std::span<const NodeId> a,
                                              std::span<const NodeId> b) {
   std::vector<NodeId> out;

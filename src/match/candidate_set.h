@@ -1,7 +1,6 @@
 #ifndef WQE_MATCH_CANDIDATE_SET_H_
 #define WQE_MATCH_CANDIDATE_SET_H_
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -9,49 +8,10 @@
 
 namespace wqe::match {
 
-/// Dense bit membership over a bounded node-id range. Built from a sorted
-/// occurrence vector when the spanned range is tight enough to pay for
-/// itself; stays disengaged (and callers fall back to binary search)
-/// otherwise, so memory never balloons on sparse sets over huge graphs.
-/// Engagement depends only on the member ids, never on thread count or
-/// storage backing — the probe answers the same question either way.
-class RangeBitset {
- public:
-  RangeBitset() = default;
-
-  bool engaged() const { return engaged_; }
-
-  void Reset() {
-    engaged_ = false;
-    base_ = 0;
-    words_.clear();
-  }
-
-  /// Builds from ascending unique `members` unless the spanned id range
-  /// would need more than `max_words` 64-bit words.
-  void Assign(std::span<const NodeId> members, size_t max_words);
-
-  /// Membership probe; ids outside the covered range are absent. Requires
-  /// engaged().
-  bool Test(NodeId v) const {
-    const uint64_t bit = static_cast<uint64_t>(v) - base_;
-    if (bit >= num_bits_) return false;
-    return (words_[bit >> 6] >> (bit & 63)) & 1;
-  }
-
- private:
-  NodeId base_ = 0;
-  uint64_t num_bits_ = 0;
-  std::vector<uint64_t> words_;
-  bool engaged_ = false;
-};
-
 /// Sorted selection vector of graph nodes — the working set that flows
 /// between stages of the match pipeline (label seed → predicate filter →
 /// exact verification) and between the chase layer's delta-evaluation steps.
-/// Replaces the ad-hoc std::vector<NodeId> + SortedDifference/SortedUnion
-/// plumbing: the set-algebra kernels live here, reserve their outputs, and
-/// an optional dense bitset accelerates point probes.
+/// The set-algebra kernels live here and reserve their outputs.
 class CandidateSet {
  public:
   CandidateSet() = default;
@@ -68,17 +28,8 @@ class CandidateSet {
   size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
 
-  /// Moves the selection vector out (drops the bitset).
-  std::vector<NodeId> Take() {
-    bits_.Reset();
-    return std::move(nodes_);
-  }
-
-  /// Builds the optional membership bitset (see RangeBitset::Assign).
-  void BuildBits(size_t max_words) { bits_.Assign(nodes_, max_words); }
-
-  /// Point probe: bitset when engaged, binary search otherwise.
-  bool Contains(NodeId v) const;
+  /// Moves the selection vector out.
+  std::vector<NodeId> Take() { return std::move(nodes_); }
 
   // Sorted-set kernels over ascending unique id vectors. All reserve their
   // output capacity up front (a \ b and a ∪ b are at most |a| resp.
@@ -92,7 +43,6 @@ class CandidateSet {
 
  private:
   std::vector<NodeId> nodes_;
-  RangeBitset bits_;
 };
 
 }  // namespace wqe::match

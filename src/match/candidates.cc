@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "match/candidate_set.h"
 
 namespace wqe {
 
@@ -34,26 +33,6 @@ std::vector<NodeId> ComputeCandidates(const Graph& g, const PatternQuery& q,
     if (IsCandidate(g, q, u, v)) out.push_back(v);
   }
   return out;
-}
-
-std::vector<std::vector<NodeId>> AllCandidates(const Graph& g,
-                                               const PatternQuery& q) {
-  std::vector<std::vector<NodeId>> out(q.num_nodes());
-  const auto mask = q.ActiveMask();
-  for (QNodeId u = 0; u < q.num_nodes(); ++u) {
-    if (mask[u]) out[u] = ComputeCandidates(g, q, u);
-  }
-  return out;
-}
-
-std::vector<NodeId> SortedDifference(const std::vector<NodeId>& a,
-                                     const std::vector<NodeId>& b) {
-  return match::CandidateSet::Difference(a, b);
-}
-
-std::vector<NodeId> SortedUnion(const std::vector<NodeId>& a,
-                                const std::vector<NodeId>& b) {
-  return match::CandidateSet::Union(a, b);
 }
 
 }  // namespace wqe

@@ -17,21 +17,6 @@ bool IsCandidate(const Graph& g, const PatternQuery& q, QNodeId u, NodeId v);
 std::vector<NodeId> ComputeCandidates(const Graph& g, const PatternQuery& q,
                                       QNodeId u);
 
-/// Candidate sets for every query node (inactive nodes get empty sets).
-std::vector<std::vector<NodeId>> AllCandidates(const Graph& g,
-                                               const PatternQuery& q);
-
-/// a \ b over ascending sorted NodeId vectors. The delta evaluation path
-/// (chase/delta_eval) verifies only `candidates \ parent_matches` after a
-/// relaxation — the parent's matches carry over by monotonicity.
-std::vector<NodeId> SortedDifference(const std::vector<NodeId>& a,
-                                     const std::vector<NodeId>& b);
-
-/// a ∪ b over ascending sorted NodeId vectors (duplicates collapse) — merges
-/// inherited parent matches with the newly verified ones.
-std::vector<NodeId> SortedUnion(const std::vector<NodeId>& a,
-                                const std::vector<NodeId>& b);
-
 }  // namespace wqe
 
 #endif  // WQE_MATCH_CANDIDATES_H_

@@ -28,6 +28,54 @@ Matcher::Matcher(const Graph& g, DistanceIndex* dist)
       bfs_(g),
       ball_budget_(kBallCellsPerElement * (g.num_nodes() + g.num_edges())) {}
 
+void Matcher::set_shared_plans(SharedPlans* plans) {
+  shared_plans_ = plans;
+  for (auto& worker : workers_) {
+    if (worker != nullptr) worker->set_shared_plans(plans);
+  }
+}
+
+void Matcher::set_use_pipeline(bool on) {
+  use_pipeline_ = on;
+  for (auto& worker : workers_) {
+    if (worker != nullptr) worker->set_use_pipeline(on);
+  }
+}
+
+Matcher& Matcher::Worker(size_t slot) {
+  std::unique_ptr<Matcher>& worker = workers_[slot - 1];
+  if (worker == nullptr) {
+    worker = std::make_unique<Matcher>(g_, dist_);
+    worker->shared_plans_ = shared_plans_;
+    worker->use_pipeline_ = use_pipeline_;
+  }
+  return *worker;
+}
+
+void Matcher::ShardProbes(
+    size_t num_threads, size_t n, size_t grain,
+    const std::function<void(Matcher& m, size_t i)>& probe) {
+  const size_t threads = ResolveThreads(num_threads);
+  // Sized here, on the calling thread; each slot fills only its own entry.
+  if (workers_.size() + 1 < threads) workers_.resize(threads - 1);
+  auto merge = [this] {
+    for (auto& worker : workers_) {
+      if (worker == nullptr) continue;
+      stats_.Merge(worker->stats_);
+      worker->stats_ = MatchStats();
+    }
+  };
+  try {
+    ParallelFor(threads, 0, n, grain, [&](size_t i, size_t slot) {
+      probe(slot == 0 ? *this : Worker(slot), i);
+    });
+  } catch (...) {
+    merge();
+    throw;
+  }
+  merge();
+}
+
 std::shared_ptr<const Matcher::MatchPlan> Matcher::BuildPlan(
     const PatternQuery& q) {
   static std::atomic<uint64_t> next_serial{1};
@@ -180,8 +228,7 @@ bool Matcher::Viable(const PatternQuery& q, const MatchPlan& plan,
 
 bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
                      std::vector<NodeId>& assign, size_t limit, size_t& emitted,
-                     const std::vector<const std::vector<NodeId>*>* allowed,
-                     const std::function<bool(const std::vector<NodeId>&)>& cb) {
+                     const Allowed* allowed, const ValuationFn& cb) {
   if (depth == plan.steps.size()) {
     ++emitted;
     const bool keep_going = cb(assign);
@@ -232,60 +279,48 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
   return true;
 }
 
-void Matcher::Valuations(
-    const PatternQuery& q, const QueryKey& key, NodeId focus_match,
-    size_t limit, const std::function<bool(const std::vector<NodeId>&)>& cb) {
+void Matcher::Probe(const PatternQuery& q, const MatchPlan& plan, NodeId v,
+                    size_t limit, const Allowed* allowed,
+                    const ValuationFn& cb) {
   ++stats_.focus_verifications;
-  const MatchPlan* plan = nullptr;
-  if (use_pipeline_) {
-    plan = &PlanFor(q, key);
-    if (!plan->filters.at(q.focus()).Admits(g_.view(), focus_match)) return;
-  } else {
-    if (!IsCandidate(g_, q, q.focus(), focus_match)) return;
-    plan = &PlanFor(q, key);
+  if (!Admits(q, plan, q.focus(), v)) return;
+  if (allowed != nullptr) {
+    const std::vector<NodeId>* ok = (*allowed)[q.focus()];
+    if (ok != nullptr && !std::binary_search(ok->begin(), ok->end(), v)) {
+      return;
+    }
   }
-  BeginProbe(*plan);
-  if (!Viable(q, *plan, plan->focus_dependents, focus_match)) return;
+  BeginProbe(plan);
+  if (!Viable(q, plan, plan.focus_dependents, v)) return;
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
-  assign[q.focus()] = focus_match;
+  assign[q.focus()] = v;
   size_t emitted = 0;
-  Extend(q, *plan, 0, assign, limit, emitted, nullptr, cb);
+  Extend(q, plan, 0, assign, limit, emitted, allowed, cb);
 }
 
-bool Matcher::IsMatch(const PatternQuery& q, const QueryKey& key, NodeId v) {
+bool Matcher::HasWitness(const PatternQuery& q, const MatchPlan& plan,
+                         NodeId v, const Allowed* allowed) {
   bool found = false;
-  Valuations(q, key, v, 1, [&](const std::vector<NodeId>&) {
+  Probe(q, plan, v, 1, allowed, [&](const std::vector<NodeId>&) {
     found = true;
     return false;
   });
   return found;
 }
 
-bool Matcher::IsMatchRestricted(
-    const PatternQuery& q, const MatchPlan& plan, NodeId v,
-    const std::vector<const std::vector<NodeId>*>& allowed) {
-  ++stats_.focus_verifications;
-  if (use_pipeline_) {
-    if (!plan.filters.at(q.focus()).Admits(g_.view(), v)) return false;
-  } else {
-    if (!IsCandidate(g_, q, q.focus(), v)) return false;
-  }
-  if (allowed[q.focus()] != nullptr) {
-    const auto& ok = *allowed[q.focus()];
-    if (!std::binary_search(ok.begin(), ok.end(), v)) return false;
-  }
-  BeginProbe(plan);
-  if (!Viable(q, plan, plan.focus_dependents, v)) return false;
-  std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
-  assign[q.focus()] = v;
-  size_t emitted = 0;
-  bool found = false;
-  Extend(q, plan, 0, assign, 1, emitted, &allowed,
-         [&](const std::vector<NodeId>&) {
-           found = true;
-           return false;
-         });
-  return found;
+void Matcher::Valuations(const PatternQuery& q, const QueryKey& key,
+                         NodeId focus_match, size_t limit,
+                         const ValuationFn& cb) {
+  Probe(q, PlanFor(q, key), focus_match, limit, nullptr, cb);
+}
+
+bool Matcher::IsMatch(const PatternQuery& q, const QueryKey& key, NodeId v) {
+  return HasWitness(q, PlanFor(q, key), v, nullptr);
+}
+
+bool Matcher::IsMatchRestricted(const PatternQuery& q, const MatchPlan& plan,
+                                NodeId v, const Allowed& allowed) {
+  return HasWitness(q, plan, v, &allowed);
 }
 
 std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q,
@@ -312,33 +347,14 @@ std::vector<NodeId> Matcher::Answer(const PatternQuery& q, size_t num_threads) {
   WQE_SPAN("match.answer");
   const QueryKey key = QueryKey::Of(q);
   const std::vector<NodeId> candidates = FocusCandidates(q, key);
-  std::vector<NodeId> out;
-  const size_t threads = ResolveThreads(num_threads);
-  if (threads <= 1 || candidates.size() <= 1) {
-    for (NodeId v : candidates) {
-      if (IsMatch(q, key, v)) out.push_back(v);
-    }
-    return out;
-  }
-
-  // Shard the candidates over worker matchers: slot 0 reuses this matcher's
-  // scratch, each other slot builds its own over the shared frozen graph and
-  // distance index. Verdicts land in index-addressed slots and are folded in
-  // candidate order, so the answer is byte-identical to the serial loop.
-  PerThread<Matcher> workers(threads, [this] {
-    auto m = std::unique_ptr<Matcher>(new Matcher(g_, dist_));
-    m->set_use_pipeline(use_pipeline_);
-    return m;
-  });
+  if (candidates.empty()) return {};
+  const MatchPlan& plan = PlanFor(q, key);
   std::vector<uint8_t> is_match(candidates.size(), 0);
-  ParallelFor(threads, 0, candidates.size(), /*grain=*/8,
-              [&](size_t i, size_t slot) {
-                Matcher& m = slot == 0 ? *this : workers.at(slot);
-                is_match[i] = m.IsMatch(q, key, candidates[i]) ? 1 : 0;
+  ShardProbes(num_threads, candidates.size(), /*grain=*/8,
+              [&](Matcher& m, size_t i) {
+                is_match[i] = m.HasWitness(q, plan, candidates[i], nullptr);
               });
-  for (size_t slot = 1; slot < threads; ++slot) {
-    if (Matcher* m = workers.created(slot)) stats_.Merge(m->stats());
-  }
+  std::vector<NodeId> out;
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (is_match[i]) out.push_back(candidates[i]);
   }

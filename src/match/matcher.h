@@ -84,22 +84,33 @@ class Matcher {
 
   Matcher(const Graph& g, DistanceIndex* dist);
 
-  /// Attaches a cross-matcher plan memo (may be null to detach). The memo is
-  /// thread-safe, so matchers serving concurrent requests against the same
-  /// frozen graph can share it: a query shape planned by any request is never
-  /// re-planned by another. The pointee must outlive this matcher.
-  void set_shared_plans(SharedPlans* plans) { shared_plans_ = plans; }
+  /// Attaches a cross-matcher plan memo (may be null to detach), to this
+  /// matcher and its workers. The memo is thread-safe, so matchers serving
+  /// concurrent requests against the same frozen graph can share it: a query
+  /// shape planned by any request is never re-planned by another. The
+  /// pointee must outlive this matcher.
+  void set_shared_plans(SharedPlans* plans);
 
-  /// Toggles the compiled staged pipeline (on by default; off = the legacy
-  /// per-node interpreted path). Answers are identical either way.
-  void set_use_pipeline(bool on) { use_pipeline_ = on; }
+  /// Toggles the compiled staged pipeline on this matcher and its workers
+  /// (on by default; off = the legacy per-node interpreted path). Answers
+  /// are identical either way.
+  void set_use_pipeline(bool on);
   bool use_pipeline() const { return use_pipeline_; }
 
-  /// The answer Q(G): all matches of the focus u_o. With num_threads > 1
-  /// (0 = hardware concurrency) the focus candidates are sharded over worker
-  /// matchers — each with its own BFS scratch over the shared frozen graph
-  /// and distance index — and merged in candidate order, so the result is
-  /// byte-identical to the serial path.
+  /// Runs probe(m, i) for every i in [0, n) through ParallelFor over at most
+  /// `num_threads` slots (0 = hardware concurrency). Slot 0 probes with this
+  /// matcher; slot k >= 1 with this matcher's k-th worker, created on first
+  /// use over the same frozen graph and distance index with its own BFS
+  /// scratch and ball memo, inheriting the plan memo and pipeline setting,
+  /// and kept for later calls. Worker stats are folded into stats() in slot
+  /// order when the loop ends (also when a probe throws). `probe` must write
+  /// its result to an index-addressed slot, so the outcome is the same for
+  /// every thread count.
+  void ShardProbes(size_t num_threads, size_t n, size_t grain,
+                   const std::function<void(Matcher& m, size_t i)>& probe);
+
+  /// The answer Q(G): all matches of the focus u_o, in candidate order. The
+  /// focus candidates are probed through ShardProbes against one plan.
   std::vector<NodeId> Answer(const PatternQuery& q, size_t num_threads = 1);
 
   /// The focus candidate set V_{u_o}, sorted ascending: label-bucket seed +
@@ -193,6 +204,26 @@ class Matcher {
   /// per-node filters, each step's ball key, and a fresh serial.
   static std::shared_ptr<const MatchPlan> BuildPlan(const PatternQuery& q);
 
+  /// The worker for ShardProbes slot `slot` >= 1, created on its first call
+  /// (only from that slot's thread) with this matcher's plan memo and
+  /// pipeline setting.
+  Matcher& Worker(size_t slot);
+
+  using Allowed = std::vector<const std::vector<NodeId>*>;
+  using ValuationFn = std::function<bool(const std::vector<NodeId>&)>;
+
+  /// One top-level probe with the focus fixed to `v`: counts a focus
+  /// verification, admits `v` through the focus filter (and `allowed`'s
+  /// focus set when given), enters the probe, forward-checks the steps
+  /// anchored on the focus and runs the search, emitting at most `limit`
+  /// valuations to `cb`.
+  void Probe(const PatternQuery& q, const MatchPlan& plan, NodeId v,
+             size_t limit, const Allowed* allowed, const ValuationFn& cb);
+
+  /// Whether Probe finds a first witness valuation for `v`.
+  bool HasWitness(const PatternQuery& q, const MatchPlan& plan, NodeId v,
+                  const Allowed* allowed);
+
   /// Per-node candidate probe during the backtracking search: the compiled
   /// filter when the pipeline is on, interpreted IsCandidate otherwise.
   bool Admits(const PatternQuery& q, const MatchPlan& plan, QNodeId u,
@@ -208,8 +239,7 @@ class Matcher {
 
   bool Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
               std::vector<NodeId>& assign, size_t limit, size_t& emitted,
-              const std::vector<const std::vector<NodeId>*>* allowed,
-              const std::function<bool(const std::vector<NodeId>&)>& cb);
+              const Allowed* allowed, const ValuationFn& cb);
 
   /// A memoized filtered ball: ball_cells_[begin, begin + size).
   struct BallSpan {
@@ -237,6 +267,9 @@ class Matcher {
   MatchStats stats_;
   SharedPlans* shared_plans_ = nullptr;
   bool use_pipeline_ = true;
+  /// ShardProbes' worker matchers, one per slot >= 1 (null until that slot
+  /// first probes).
+  std::vector<std::unique_ptr<Matcher>> workers_;
 
   // Filtered-ball memo. Spans index the arena, so a fill may grow it while
   // outer Extend frames iterate theirs.

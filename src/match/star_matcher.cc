@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "obs/observability.h"
 
 namespace wqe {
@@ -23,7 +22,7 @@ void IntersectInto(std::optional<std::vector<NodeId>>& into,
 }  // namespace
 
 StarMatcher::StarMatcher(const Graph& g, DistanceIndex* dist, ViewCache* cache)
-    : g_(g), matcher_(g, dist), materializer_(g), cache_(cache) {
+    : matcher_(g, dist), materializer_(g), cache_(cache) {
   // Table builds seed and filter center candidates; fold their funnel
   // accounting into the matcher's stats so one snapshot covers both paths.
   materializer_.set_stats(&matcher_.stats());
@@ -34,17 +33,10 @@ void StarMatcher::set_num_threads(size_t n) {
   materializer_.set_num_threads(n);
 }
 
-void StarMatcher::set_shared_plans(Matcher::SharedPlans* plans) {
-  shared_plans_ = plans;
-  matcher_.set_shared_plans(plans);
-  for (auto& worker : workers_) worker->set_shared_plans(plans);
-}
-
 void StarMatcher::set_use_pipeline(bool on) {
   use_pipeline_ = on;
   matcher_.set_use_pipeline(on);
   materializer_.set_use_pipeline(on);
-  for (auto& worker : workers_) worker->set_use_pipeline(on);
 }
 
 void StarMatcher::set_deadline(const Deadline* d) {
@@ -206,7 +198,6 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
     for (size_t i = 0; i < keyed.size(); ++i) candidates[i] = keyed[i].second;
   }
 
-  std::vector<NodeId> matches;
   // One plan resolution for the whole batch: every candidate below probes
   // the same rewrite, so the per-candidate cost is the match check itself,
   // not a repeated memo probe.
@@ -216,44 +207,16 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
   // stride of match checks, not the whole candidate list. Matches found
   // before the throw are abandoned with the evaluation (anytime callers keep
   // their previous best instead of a partial, order-dependent answer set).
-  const size_t threads = ResolveThreads(num_threads_);
-  if (threads <= 1 || candidates.size() <= 1) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      MaybeThrowIfExpired(deadline_, i);
-      ++stats_.focus_verified;
-      if (matcher_.IsMatchRestricted(q, plan, candidates[i], allowed)) {
-        matches.push_back(candidates[i]);
-      }
-    }
-  } else {
-    // Shard verification over per-thread matchers; the shared graph, star
-    // tables, and distance index are frozen and read-only here. Verdicts go
-    // into index-addressed slots and are folded in candidate order (the
-    // final sort makes order moot, but the byte-identical guarantee should
-    // not depend on it).
-    while (workers_.size() + 1 < threads) {
-      workers_.push_back(std::make_unique<Matcher>(g_, &matcher_.dist()));
-      workers_.back()->set_shared_plans(shared_plans_);
-      workers_.back()->set_use_pipeline(use_pipeline_);
-    }
-    std::vector<uint8_t> is_match(candidates.size(), 0);
-    ParallelFor(threads, 0, candidates.size(), /*grain=*/4,
-                [&](size_t i, size_t slot) {
-                  MaybeThrowIfExpired(deadline_, i);
-                  Matcher& m = slot == 0 ? matcher_ : *workers_[slot - 1];
-                  is_match[i] =
-                      m.IsMatchRestricted(q, plan, candidates[i], allowed)
-                          ? 1
-                          : 0;
-                });
-    stats_.focus_verified += candidates.size();
-    for (auto& worker : workers_) {
-      matcher_.stats().Merge(worker->stats());
-      worker->stats() = MatchStats();
-    }
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (is_match[i]) matches.push_back(candidates[i]);
-    }
+  std::vector<uint8_t> is_match(candidates.size(), 0);
+  matcher_.ShardProbes(num_threads_, candidates.size(), /*grain=*/4,
+                       [&](Matcher& m, size_t i) {
+                         MaybeThrowIfExpired(deadline_, i);
+                         is_match[i] = m.IsMatchRestricted(
+                             q, plan, candidates[i], allowed);
+                       });
+  std::vector<NodeId> matches;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (is_match[i]) matches.push_back(candidates[i]);
   }
   if (c_verified_ != nullptr) c_verified_->Inc(candidates.size());
   std::sort(matches.begin(), matches.end());
@@ -265,7 +228,6 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
 StarMatcher::Evaluation StarMatcher::Evaluate(
     const PatternQuery& q, const QueryKey& key,
     const std::function<double(NodeId)>* priority) {
-  ++stats_.evaluations;
   const auto allowed_sets =
       AllowedSets(q, *ResolveTables(q, key, /*reuse=*/nullptr,
                                     /*materialize_missing=*/true));
@@ -277,7 +239,6 @@ StarMatcher::Evaluation StarMatcher::Evaluate(
   } else {
     candidates = FocusCandidates(q, key).Take();
   }
-  stats_.focus_candidates += candidates.size();
   if (c_candidates_ != nullptr) c_candidates_->Inc(candidates.size());
 
   return {VerifyCandidates(q, key, std::move(candidates), allowed_sets,

@@ -22,12 +22,9 @@ struct Observability;
 
 /// Counters for the optimization experiments.
 struct StarEvalStats {
-  uint64_t evaluations = 0;
   uint64_t tables_built = 0;
-  uint64_t cache_hits = 0;        // view-cache Gets that found the table
-  uint64_t cache_misses = 0;      // view-cache Gets that did not
-  uint64_t focus_candidates = 0;  // before star pruning
-  uint64_t focus_verified = 0;    // after star pruning
+  uint64_t cache_hits = 0;    // view-cache Gets that found the table
+  uint64_t cache_misses = 0;  // view-cache Gets that did not
 };
 
 /// Star-view state of one evaluation: the decomposition, each star's cache
@@ -52,11 +49,11 @@ class StarMatcher {
   /// `cache` may be null (the AnsWnc / AnsWb ablations).
   StarMatcher(const Graph& g, DistanceIndex* dist, ViewCache* cache);
 
-  /// Workers for candidate verification and table materialization
-  /// (0 = hardware concurrency, 1 = exact legacy serial path). Candidates
-  /// are sharded over per-thread matchers — each with its own BFS scratch
-  /// over the shared frozen graph and distance index — and verdicts merged
-  /// in candidate order, so Evaluate is byte-identical for every setting.
+  /// Execution slots for candidate verification and table materialization
+  /// (0 = hardware concurrency; 1 runs every probe on the calling thread).
+  /// Candidates are sharded over the primary matcher's workers
+  /// (Matcher::ShardProbes) and verdicts merged in candidate order, so
+  /// Evaluate is byte-identical for every setting.
   void set_num_threads(size_t n);
 
   /// Mirrors table-build / verification / pipeline-stage counters into `o`'s
@@ -64,13 +61,15 @@ class StarMatcher {
   /// detaches.
   void set_observability(obs::Observability* o);
 
-  /// Attaches the cross-request plan memo to the primary matcher and every
-  /// worker, current and future (workers are created lazily). Null detaches.
-  void set_shared_plans(Matcher::SharedPlans* plans);
+  /// Attaches the cross-request plan memo to the primary matcher, which
+  /// hands it to its workers. Null detaches.
+  void set_shared_plans(Matcher::SharedPlans* plans) {
+    matcher_.set_shared_plans(plans);
+  }
 
-  /// Toggles the compiled staged match pipeline on the primary matcher, the
-  /// verification workers, and the star materializer (on by default; off =
-  /// the interpreted control arm). Answers are byte-identical either way.
+  /// Toggles the compiled staged match pipeline on the primary matcher (and
+  /// so its workers) and the star materializer (on by default; off = the
+  /// interpreted control arm). Answers are byte-identical either way.
   void set_use_pipeline(bool on);
 
   /// Arms a wall-clock deadline for Evaluate: table materialization and
@@ -135,8 +134,8 @@ class StarMatcher {
 
   /// Verifies `candidates` (any order; deduped by the caller) with the exact
   /// matcher restricted to `allowed`, most-promising first under `priority`,
-  /// sharded over workers when num_threads > 1. Returns the verified subset
-  /// sorted ascending and bumps focus_verified / the registry counter.
+  /// sharded through Matcher::ShardProbes. Returns the verified subset
+  /// sorted ascending and bumps the match.focus_verified registry counter.
   std::vector<NodeId> VerifyCandidates(
       const PatternQuery& q, const QueryKey& key,
       std::vector<NodeId> candidates,
@@ -162,7 +161,6 @@ class StarMatcher {
   /// accumulate into the matcher's stats).
   void FlushPlanCounters();
 
-  const Graph& g_;
   Matcher matcher_;
   StarMaterializer materializer_;
   ViewCache* cache_;
@@ -170,10 +168,6 @@ class StarMatcher {
   size_t num_threads_ = 1;
   bool use_pipeline_ = true;
   const Deadline* deadline_ = nullptr;
-  Matcher::SharedPlans* shared_plans_ = nullptr;
-  /// Worker matchers for parallel verification, one per slot >= 1 (slot 0
-  /// is matcher_), created lazily and reused across Evaluate calls.
-  std::vector<std::unique_ptr<Matcher>> workers_;
 
   obs::Counter* c_tables_built_ = nullptr;
   obs::Counter* c_candidates_ = nullptr;

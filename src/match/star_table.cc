@@ -131,49 +131,44 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
   // Centers are swept independently — the embarrassingly parallel part. A
   // viability flag per center index plus per-slot spoke accumulators (merged
   // into sorted sets below) make the table identical for every thread
-  // count. Deadline checks ride the center loop at a fixed stride: one
-  // center is a few bounded BFS passes, so the overshoot past an armed
-  // deadline is at most kDeadlineCheckStride centers per participant, never
-  // a whole table. In the parallel path ParallelFor abandons the remaining
-  // blocks and rethrows the DeadlineExceeded on this thread; the half-built
-  // table is discarded here and never reaches the view cache.
+  // count; slot 0 sweeps with this builder's own BFS scratch. Deadline
+  // checks ride the center loop at a fixed stride: one center is a few
+  // bounded BFS passes, so the overshoot past an armed deadline is at most
+  // kDeadlineCheckStride centers per participant, never a whole table.
+  // ParallelFor abandons the remaining blocks and rethrows the
+  // DeadlineExceeded on this thread; the half-built table is discarded here
+  // and never reaches the view cache.
   const std::vector<bool>* near_focus =
       !star.contains_focus && star.aug_bound > 0 && !centers.empty()
           ? &NearFocus(q, star.aug_bound, plans_ptr)
           : nullptr;
   const size_t threads = ResolveThreads(num_threads_);
+  const size_t num_spokes = star.spokes.size();
+  PerThread<BoundedBfs> scratch(threads, [this] {
+    return std::make_unique<BoundedBfs>(g_);
+  });
+  PerThread<SpokeHits> hits(threads, [num_spokes] {
+    return std::make_unique<SpokeHits>(num_spokes);
+  });
   std::vector<uint8_t> viable(centers.size(), 0);
-  if (threads <= 1 || centers.size() <= 1) {
-    SpokeHits hits(star.spokes.size());
-    for (size_t i = 0; i < centers.size(); ++i) {
-      MaybeThrowIfExpired(deadline_, i);
-      viable[i] = SweepCenter(q, star, centers[i], bfs_, plans_ptr,
-                              near_focus, hits);
-    }
-    table->spoke_occ_ = std::move(hits.per_spoke);
-  } else {
-    PerThread<BoundedBfs> scratch(threads, [this] {
-      return std::make_unique<BoundedBfs>(g_);
-    });
-    const size_t num_spokes = star.spokes.size();
-    PerThread<SpokeHits> hits(threads, [num_spokes] {
-      return std::make_unique<SpokeHits>(num_spokes);
-    });
-    table->spoke_occ_.resize(num_spokes);
-    ParallelFor(threads, 0, centers.size(), /*grain=*/16,
-                [&](size_t i, size_t slot) {
-                  MaybeThrowIfExpired(deadline_, i);
-                  BoundedBfs& bfs = slot == 0 ? bfs_ : scratch.at(slot);
-                  viable[i] = SweepCenter(q, star, centers[i], bfs, plans_ptr,
-                                          near_focus, hits.at(slot));
-                });
-    for (size_t slot = 0; slot < threads; ++slot) {
-      const SpokeHits* h = hits.created(slot);
-      if (h == nullptr) continue;
-      for (size_t s = 0; s < num_spokes; ++s) {
-        table->spoke_occ_[s].insert(table->spoke_occ_[s].end(),
-                                    h->per_spoke[s].begin(),
-                                    h->per_spoke[s].end());
+  ParallelFor(threads, 0, centers.size(), /*grain=*/16,
+              [&](size_t i, size_t slot) {
+                MaybeThrowIfExpired(deadline_, i);
+                BoundedBfs& bfs = slot == 0 ? bfs_ : scratch.at(slot);
+                viable[i] = SweepCenter(q, star, centers[i], bfs, plans_ptr,
+                                        near_focus, hits.at(slot));
+              });
+  // Slot order; the first slot that did work hands its sets over whole.
+  table->spoke_occ_.resize(num_spokes);
+  for (size_t slot = 0; slot < threads; ++slot) {
+    SpokeHits* h = hits.created(slot);
+    if (h == nullptr) continue;
+    for (size_t s = 0; s < num_spokes; ++s) {
+      std::vector<NodeId>& occ = table->spoke_occ_[s];
+      if (occ.empty()) {
+        occ = std::move(h->per_spoke[s]);
+      } else {
+        occ.insert(occ.end(), h->per_spoke[s].begin(), h->per_spoke[s].end());
       }
     }
   }

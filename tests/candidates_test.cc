@@ -52,16 +52,6 @@ TEST(CandidatesTest, WildcardLabelWithLiteral) {
   EXPECT_EQ(cands[0], demo.sprint());
 }
 
-TEST(CandidatesTest, AllCandidatesSkipsInactiveNodes) {
-  ProductDemo demo;
-  PatternQuery q = demo.Query();
-  // Disconnect the sensor node.
-  q.RemoveEdgeAt(static_cast<size_t>(q.FindEdge(q.focus(), 3)));
-  auto all = AllCandidates(demo.graph(), q);
-  EXPECT_FALSE(all[0].empty());
-  EXPECT_TRUE(all[3].empty());  // inactive
-}
-
 TEST(CandidatesTest, CandidatesAreSorted) {
   ProductDemo demo;
   PatternQuery q = demo.Query();
@@ -197,45 +187,6 @@ TEST(CandidateSetTest, KernelsMatchStdOracles) {
   EXPECT_TRUE(match::CandidateSet::Difference(a, a).empty());
   EXPECT_EQ(match::CandidateSet::Union(a, a), a);
   EXPECT_EQ(match::CandidateSet::Intersection(a, a), a);
-}
-
-TEST(CandidateSetTest, LegacyEntryPointsDelegateToKernels) {
-  const std::vector<NodeId> a = {1, 4, 6, 9};
-  const std::vector<NodeId> b = {4, 5, 9};
-  EXPECT_EQ(SortedDifference(a, b), match::CandidateSet::Difference(a, b));
-  EXPECT_EQ(SortedUnion(a, b), match::CandidateSet::Union(a, b));
-}
-
-TEST(CandidateSetTest, ContainsUsesBitsOrBinarySearch) {
-  auto set = match::CandidateSet::FromSorted({10, 20, 30, 1000});
-  EXPECT_TRUE(set.Contains(20));
-  EXPECT_FALSE(set.Contains(21));
-  set.BuildBits(/*max_words=*/64);  // range 10..1000 -> 16 words, engages
-  EXPECT_TRUE(set.Contains(10));
-  EXPECT_TRUE(set.Contains(1000));
-  EXPECT_FALSE(set.Contains(999));
-  EXPECT_FALSE(set.Contains(5));
-  EXPECT_FALSE(set.Contains(2000));
-}
-
-TEST(RangeBitsetTest, EngagementCapAndProbeParity) {
-  const std::vector<NodeId> members = {100, 101, 163, 164, 500};
-  match::RangeBitset bits;
-  bits.Assign(members, /*max_words=*/1);  // 100..500 needs 7 words: too wide
-  EXPECT_FALSE(bits.engaged());
-  bits.Assign(members, /*max_words=*/16);
-  ASSERT_TRUE(bits.engaged());
-  for (NodeId v = 0; v < 600; ++v) {
-    EXPECT_EQ(bits.Test(v),
-              std::binary_search(members.begin(), members.end(), v))
-        << "v=" << v;
-  }
-  bits.Reset();
-  EXPECT_FALSE(bits.engaged());
-  // Empty member set never engages (nothing to probe).
-  match::RangeBitset empty_bits;
-  empty_bits.Assign({}, /*max_words=*/16);
-  EXPECT_FALSE(empty_bits.engaged());
 }
 
 }  // namespace

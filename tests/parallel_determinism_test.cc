@@ -10,12 +10,14 @@
 #include <sstream>
 
 #include "chase/multi_focus.h"
+#include "chase/picky_refine.h"
 #include "chase/solve.h"
 #include "chase/why_not.h"
 #include "gen/datasets.h"
 #include "gen/product_demo.h"
 #include "gen/synthetic.h"
 #include "graph/distance_index.h"
+#include "match/star_matcher.h"
 #include "workload/suite.h"
 
 namespace wqe {
@@ -172,6 +174,78 @@ TEST(ParallelDeterminismTest, WhyNotIdenticalAcrossThreadCounts) {
     return ExplainWhyNot(ctx, demo.p(3)).ToString(demo.graph());
   };
   EXPECT_EQ(explain(1), explain(4));
+}
+
+// The MatchStats counters that depend only on which probes run — not on
+// which matcher ran them or what its plan and ball memos held.
+std::vector<uint64_t> ProbeCounts(const MatchStats& s) {
+  return {s.focus_verifications, s.node_expansions, s.forward_prunes,
+          s.candidates_seeded, s.candidates_filtered};
+}
+
+std::vector<uint64_t> Minus(std::vector<uint64_t> a,
+                            const std::vector<uint64_t>& b) {
+  for (size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return a;
+}
+
+// Probes sharded over a matcher's workers are counted on the caller: the
+// workers' stats merge into it, so the probe counters read the same at 1
+// and 4 threads on every sharded path.
+TEST(ParallelDeterminismTest, WorkerStatsMergeIntoTheCaller) {
+  Graph g = GenerateGraph(ImdbLike(0.04));
+  WhyFactoryOptions fopts;
+  fopts.query.num_edges = 2;
+  fopts.disturb.num_ops = 2;
+  fopts.seed = 7;
+  auto cases = MakeBenchCases(g, 3, fopts);
+  ASSERT_FALSE(cases.empty());
+  GraphIndexes indexes(g, 1);
+
+  // Matcher::Answer.
+  std::vector<uint64_t> answer_counts[2];
+  std::vector<std::vector<NodeId>> answers[2];
+  // StarMatcher::Evaluate (no view cache: every evaluation builds tables).
+  std::vector<uint64_t> evaluate_counts[2];
+  std::vector<std::vector<NodeId>> evaluations[2];
+  // GenerateRefineOps on each root (witness collection).
+  std::vector<uint64_t> refine_counts[2];
+  std::vector<std::vector<double>> pickiness[2];
+  for (const size_t t : {0, 1}) {
+    const size_t threads = t == 0 ? 1 : 4;
+    Matcher m(g, &indexes.dist);
+    StarMatcher sm(g, &indexes.dist, nullptr);
+    sm.set_num_threads(threads);
+    std::vector<uint64_t> refine_total(5, 0);
+    for (const BenchCase& c : cases) {
+      answers[t].push_back(m.Answer(c.question.query, threads));
+      evaluations[t].push_back(sm.Evaluate(c.question.query).matches);
+
+      ChaseContext ctx(g, &indexes, c.question, BaseOptions(threads));
+      MatchStats& stats = ctx.star_matcher().matcher().stats();
+      const std::vector<uint64_t> before = ProbeCounts(stats);
+      std::vector<double> scores;
+      for (const ScoredOp& so : GenerateRefineOps(ctx, *ctx.root())) {
+        scores.push_back(so.pickiness);
+      }
+      pickiness[t].push_back(std::move(scores));
+      const std::vector<uint64_t> delta = Minus(ProbeCounts(stats), before);
+      for (size_t i = 0; i < delta.size(); ++i) refine_total[i] += delta[i];
+    }
+    answer_counts[t] = ProbeCounts(m.stats());
+    evaluate_counts[t] = ProbeCounts(sm.matcher().stats());
+    refine_counts[t] = refine_total;
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_EQ(evaluations[0], evaluations[1]);
+  EXPECT_EQ(pickiness[0], pickiness[1]);
+  // Enough probes to spread over several slots at 4 threads.
+  EXPECT_GT(answer_counts[0][0], 100u);
+  EXPECT_GT(evaluate_counts[0][0], 100u);
+  EXPECT_GT(refine_counts[0][0], 20u);
+  EXPECT_EQ(answer_counts[0], answer_counts[1]);
+  EXPECT_EQ(evaluate_counts[0], evaluate_counts[1]);
+  EXPECT_EQ(refine_counts[0], refine_counts[1]);
 }
 
 TEST(ParallelDeterminismTest, ParallelDistanceIndexBuildMatchesSerial) {

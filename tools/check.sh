@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep for libwqe:
-#   1. a source lint keeping chase-loop concerns inside the engine, and
-#      throwing std::sto* conversions out of the library;
+#   1. a source lint keeping chase-loop concerns inside the engine,
+#      caller-side serial forks beside ParallelFor and throwing std::sto*
+#      conversions out of the library;
 #   2. default (Release, -Werror) build + the whole ctest suite;
 #   3. the benchmark regression gate (quick mode, warm cache) against the
 #      committed BENCH_BASELINE.json, plus an injected-slowdown self-test
@@ -82,6 +83,15 @@ for pattern in 'IsCandidate\(' 'ComputeCandidates\(' 'AllCandidates\(' \
     LINT_FAIL=1
   fi
 done
+# ParallelFor runs a one-slot loop inline on the calling thread, so it is
+# the serial path too: a caller-side `if (threads <= 1 || ...)` fork is a
+# second copy of its loop body that the multi-thread tests never run.
+if hits=$(grep -rnE 'threads <= 1 \|\|' src --include='*.cc' --include='*.h'); then
+  echo "lint: caller-side serial fork in src (call ParallelFor or"
+  echo "      Matcher::ShardProbes unconditionally; one slot runs inline):"
+  echo "$hits"
+  LINT_FAIL=1
+fi
 # The library reports bad external bytes (graph, query, exemplar and log
 # text) as a Status and never lets an exception escape: parse numbers with
 # std::from_chars (common/text_parse.h), not the throwing std::sto* family.
