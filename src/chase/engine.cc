@@ -221,6 +221,10 @@ void AccumulateStats(ChaseStats& total, const ChaseStats& delta) {
   total.fingerprint_renders += delta.fingerprint_renders;
   total.delta_hits += delta.delta_hits;
   total.delta_full_fallbacks += delta.delta_full_fallbacks;
+  total.delta_refine += delta.delta_refine;
+  total.delta_relax += delta.delta_relax;
+  total.delta_focus_literal += delta.delta_focus_literal;
+  total.delta_literal_family += delta.delta_literal_family;
   total.cache_hits += delta.cache_hits;
   total.cache_misses += delta.cache_misses;
   total.tables_built += delta.tables_built;

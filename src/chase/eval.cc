@@ -40,6 +40,19 @@ DistanceIndex BuildDist(const Graph& g, size_t num_threads) {
 
 LabelId FocusLabel(const PatternQuery& q) { return q.node(q.focus()).label; }
 
+/// Projection-memo cells per graph element (node or edge): one context's
+/// literal families may hold 16 × (|V| + |E|) 4-byte cells.
+constexpr size_t kProjectionCellsPerElement = 16;
+/// Cells charged per family entry beyond its key (map node, bucket, the
+/// per-node vector header).
+constexpr size_t kFamilyEntryCells = 16;
+/// States one parent match's projection search may visit before that match
+/// is left to verification.
+constexpr uint64_t kProjectionStatesPerMatch = 4096;
+
+constexpr const char* kDeltaRuleNames[] = {"refine", "relax", "focus_literal",
+                                           "literal_family"};
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -155,6 +168,20 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   c_reverified_ = &obs_->metrics.counter("delta_eval.reverified");
   c_skipped_ = &obs_->metrics.counter("delta_eval.skipped");
   h_reverify_ns_ = &obs_->metrics.histogram("delta_eval.reverify_ns");
+  for (size_t r = 0; r < kNumDeltaRules; ++r) {
+    const std::string prefix =
+        std::string("delta_eval.") + kDeltaRuleNames[r] + ".";
+    c_rules_[r] = {&obs_->metrics.counter(prefix + "children"),
+                   &obs_->metrics.counter(prefix + "candidates"),
+                   &obs_->metrics.counter(prefix + "survivors"),
+                   &obs_->metrics.counter(prefix + "ball_fills")};
+  }
+  c_projection_builds_ =
+      &obs_->metrics.counter("delta_eval.projection_builds");
+  c_projection_fallbacks_ =
+      &obs_->metrics.counter("delta_eval.projection_fallbacks");
+  family_budget_ =
+      kProjectionCellsPerElement * (g.num_nodes() + g.num_edges());
   obs_->metrics.gauge("index.diameter").Set(indexes_->diameter);
   obs_->metrics.gauge("graph.nodes").Set(static_cast<int64_t>(g.num_nodes()));
   star_matcher_.set_num_threads(opts_.num_threads);
@@ -223,70 +250,170 @@ void ChaseContext::RequireQuestionFocus(const PatternQuery& q) const {
   std::abort();
 }
 
-ChaseContext::DeltaClass ChaseContext::ClassifyDelta(
-    const std::vector<Op>& applied) {
-  // Polarity is the only thing that matters: the answer-set inclusions
+ChaseContext::DeltaPlan ChaseContext::ClassifyDelta(
+    const PatternQuery& q, const std::vector<Op>& applied) {
+  // Polarity decides between the general rules: the answer-set inclusions
   // Q(G) ⊆ Q'(G) (relax) and Q'(G) ⊆ Q(G) (refine) hold for operators on
   // *any* pattern node, the focus included — a homomorphism of the tighter
   // query restricts to one of the looser query regardless of which node the
-  // operator touched, and both delta paths re-verify their candidates
-  // exactly against the child query. Ops that shift the focus candidate
-  // space (focus literals, focus-incident edges) merely shrink the reuse,
-  // never the correctness.
-  if (applied.empty()) return DeltaClass::kFull;
+  // operator touched. A refine payload that only tightens the filter of one
+  // node keeps every valuation of the parent that the new filter admits, so
+  // the literal rules decide it from the parent's valuations.
+  if (applied.empty()) return {};
   bool all_relax = true;
   bool all_refine = true;
+  bool one_node_literals = true;
+  const QNodeId u = applied.front().u;
   for (const Op& op : applied) {
-    if (op.is_noop()) return DeltaClass::kFull;
+    if (op.is_noop()) return {};
     all_relax = all_relax && op.is_relax();
     all_refine = all_refine && op.is_refine();
+    one_node_literals = one_node_literals && op.u == u &&
+                        (op.kind == OpKind::kAddL || op.kind == OpKind::kRfL);
   }
-  if (all_relax) return DeltaClass::kRelax;
-  if (all_refine) return DeltaClass::kRefine;
-  return DeltaClass::kFull;  // mixed polarity: neither inclusion holds
+  if (all_relax) return {DeltaRule::kRelax, kNoQNode};
+  if (!all_refine) return {};  // mixed polarity: neither inclusion holds
+  if (one_node_literals && u < q.num_nodes()) {
+    if (u == q.focus()) return {DeltaRule::kFocusLiteral, u};
+    // An inactive node constrains nothing and has no plan step to project.
+    if (q.ActiveMask()[u]) return {DeltaRule::kLiteralFamily, u};
+  }
+  return {DeltaRule::kRefine, kNoQNode};
 }
 
-std::vector<NodeId> ChaseContext::DeltaMatches(DeltaClass cls,
+std::shared_ptr<const NodeProjection> ChaseContext::FamilyProjection(
+    const EvalResult& parent, QNodeId u) {
+  auto [it, inserted] = families_.try_emplace(parent.key);
+  if (inserted) family_cells_ += kFamilyEntryCells + parent.key.text.size() / 4;
+  std::vector<Family>& members = it->second;
+  if (members.size() <= u) members.resize(u + 1);
+  Family& family = members[u];
+  if (family.projection != nullptr) return family.projection;
+  // The first child of a family may be its only one: the refine rule
+  // decides it without paying for a projection.
+  if (family.children++ == 0 || family.oversized) return nullptr;
+
+  auto projection = std::make_shared<const NodeProjection>(
+      star_matcher_.ProjectNode(parent.query, parent.key, parent.matches, u,
+                                kProjectionStatesPerMatch));
+  c_projection_builds_->Inc();
+  c_projection_fallbacks_->Inc(projection->fallbacks);
+  const size_t cells = projection->Cells();
+  if (cells > family_budget_) {
+    family.oversized = true;  // decide this child with it; keep nothing
+    return projection;
+  }
+  if (family_cells_ + cells <= family_budget_) {
+    family.projection = projection;
+  } else {
+    // Over budget: drop every family (the projections are recomputable),
+    // then keep this one.
+    const uint32_t children = family.children;
+    families_.clear();
+    std::vector<Family>& fresh = families_[parent.key];
+    fresh.resize(u + 1);
+    fresh[u].children = children;
+    fresh[u].projection = projection;
+    family_cells_ = kFamilyEntryCells + parent.key.text.size() / 4;
+  }
+  family_cells_ += cells;
+  return projection;
+}
+
+std::vector<NodeId> ChaseContext::DeltaMatches(DeltaPlan delta,
                                                const PatternQuery& q,
                                                const QueryKey& key,
                                                const EvalResult& parent) {
-  // Refine: Q'(G) ⊆ Q(G), so only the parent's matches can survive. Relax:
-  // Q(G) ⊆ Q'(G), so the parent's matches are child matches already and
-  // only the child's focus candidates outside them can change verdict.
-  // Either set is already small: the exact search (forward-checked) rejects
-  // a candidate within a few states, which star views would not beat.
-  const bool relax = cls == DeltaClass::kRelax;
-  std::vector<NodeId> candidates =
-      relax ? match::CandidateSet::Difference(
-                  star_matcher_.FocusCandidates(q, key).Take(), parent.matches)
-            : parent.matches;
-  if (relax) c_skipped_->Inc(parent.matches.size());
-  c_reverified_->Inc(candidates.size());
-  // Every candidate is verified and the result sorted, so an exemplar-
-  // closeness order would only cost time.
-  const std::vector<std::optional<std::vector<NodeId>>> unrestricted(
-      q.num_nodes());
-  const uint64_t t0 = NowNs();
-  std::vector<NodeId> verified = star_matcher_.VerifyCandidates(
-      q, key, std::move(candidates), unrestricted, /*priority=*/nullptr);
-  h_reverify_ns_->Observe(NowNs() - t0);
-  return relax ? match::CandidateSet::Union(parent.matches, verified)
-               : verified;
+  const size_t rule = static_cast<size_t>(delta.rule);
+  static_assert(static_cast<size_t>(DeltaRule::kFull) == kNumDeltaRules);
+  uint64_t ChaseStats::*const children[kNumDeltaRules] = {
+      &ChaseStats::delta_refine, &ChaseStats::delta_relax,
+      &ChaseStats::delta_focus_literal, &ChaseStats::delta_literal_family};
+  ++(stats_.*children[rule]);
+  c_rules_[rule].children->Inc();
+  // Workers' stats merge into the matcher's when each sharded call ends.
+  const MatchStats& match_stats = star_matcher_.matcher().stats();
+  const uint64_t fills_before = match_stats.ball_fills;
+
+  // `keep`: child matches decided without a search; `verify`: candidates
+  // the exact matcher decides against q. Either set is already small: the
+  // exact search (forward-checked) rejects a candidate within a few states,
+  // which star views would not beat.
+  std::vector<NodeId> keep;
+  std::vector<NodeId> verify;
+  size_t candidates = parent.matches.size();
+  switch (delta.rule) {
+    case DeltaRule::kRelax:
+      // Q(G) ⊆ Q'(G): the parent's matches are child matches already, and
+      // only the child's focus candidates outside them can change verdict.
+      keep = parent.matches;
+      verify = match::CandidateSet::Difference(
+          star_matcher_.FocusCandidates(q, key).Take(), parent.matches);
+      candidates = verify.size();
+      c_skipped_->Inc(parent.matches.size());
+      break;
+    case DeltaRule::kFocusLiteral: {
+      // The parent's valuations of a kept match are the child's: only the
+      // focus filter changed, and it admits the match.
+      const match::FilterPlan focus =
+          match::FilterPlan::Compile(q.node(delta.node));
+      for (const NodeId v : parent.matches) {
+        if (focus.AdmitsAttrs(g_.view(), v)) keep.push_back(v);
+      }
+      break;
+    }
+    case DeltaRule::kLiteralFamily:
+      if (const auto projection = FamilyProjection(parent, delta.node)) {
+        projection->Decide(g_.view(),
+                           match::FilterPlan::Compile(q.node(delta.node)),
+                           parent.matches, &keep, &verify);
+        break;
+      }
+      verify = parent.matches;  // the family's first child: refine rule
+      break;
+    case DeltaRule::kRefine:
+    case DeltaRule::kFull:
+      // Q'(G) ⊆ Q(G): only the parent's matches can survive.
+      verify = parent.matches;
+      break;
+  }
+  c_reverified_->Inc(verify.size());
+  std::vector<NodeId> verified;
+  if (!verify.empty()) {
+    // Every candidate is verified and the result sorted, so an exemplar-
+    // closeness order would only cost time.
+    const std::vector<std::optional<std::vector<NodeId>>> unrestricted(
+        q.num_nodes());
+    const uint64_t t0 = NowNs();
+    verified = star_matcher_.VerifyCandidates(q, key, std::move(verify),
+                                              unrestricted,
+                                              /*priority=*/nullptr);
+    h_reverify_ns_->Observe(NowNs() - t0);
+  }
+  std::vector<NodeId> matches =
+      keep.empty() ? std::move(verified)
+                   : match::CandidateSet::Union(keep, verified);
+  c_rules_[rule].candidates->Inc(candidates);
+  c_rules_[rule].survivors->Inc(delta.rule == DeltaRule::kRelax
+                                    ? matches.size() - parent.matches.size()
+                                    : matches.size());
+  c_rules_[rule].ball_fills->Inc(match_stats.ball_fills - fills_before);
+  return matches;
 }
 
 std::shared_ptr<EvalResult> ChaseContext::Evaluate(
     const PatternQuery& q, const QueryKey& key, OpSequence ops,
     const EvalResult* parent, const std::vector<Op>& applied) {
-  const DeltaClass cls =
-      parent == nullptr ? DeltaClass::kFull : ClassifyDelta(applied);
-  if (cls == DeltaClass::kFull) {
+  const DeltaPlan delta =
+      parent == nullptr ? DeltaPlan() : ClassifyDelta(q, applied);
+  if (delta.rule == DeltaRule::kFull) {
     ++stats_.delta_full_fallbacks;
     c_full_fallbacks_->Inc();
   }
-  return EvaluateAs(cls, q, key, std::move(ops), parent);
+  return EvaluateAs(delta, q, key, std::move(ops), parent);
 }
 
-std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
+std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaPlan delta,
                                                      const PatternQuery& q,
                                                      const QueryKey& key,
                                                      OpSequence ops,
@@ -323,7 +450,7 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
         stats.tables_built = views.tables_built;
       }
     } tally{star_matcher_.stats(), stats_};
-    if (cls == DeltaClass::kFull) {
+    if (delta.rule == DeltaRule::kFull) {
       // Verify exemplar-close candidates first (TA-style ordering, §5.2).
       std::function<double(NodeId)> priority = [this](NodeId v) {
         return rep_.ClosenessOf(v);
@@ -332,7 +459,7 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateAs(DeltaClass cls,
     } else {
       ++stats_.delta_hits;
       c_delta_hits_->Inc();
-      result->matches = DeltaMatches(cls, q, key, *parent);
+      result->matches = DeltaMatches(delta, q, key, *parent);
     }
     if (opts_.use_memo) match_memo_.emplace(key, result->matches);
   }
@@ -374,7 +501,8 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
   result->key = std::move(key);
   result->ops = std::move(ops);
   result->cost = cost;
-  result->matches = star_matcher_.matcher().Answer(result->query);
+  result->matches =
+      star_matcher_.matcher().Answer(result->query, opts_.num_threads);
   result->rel = Classify(universe_, result->matches, rep_);
   result->cl = result->rel.AnswerCloseness(opts_.closeness.lambda);
   // The full Lemma 2.2 procedure over the matches, independent of the

@@ -69,6 +69,12 @@ struct ChaseStats {
   // Delta evaluation (ChaseContext::Evaluate with a parent and applied ops).
   uint64_t delta_hits = 0;            // evaluated incrementally from a parent
   uint64_t delta_full_fallbacks = 0;  // delta offers evaluated in full
+  // Delta children by the rule that decided them (DESIGN.md §6, the delta
+  // rule table); they sum to delta_hits.
+  uint64_t delta_refine = 0;
+  uint64_t delta_relax = 0;
+  uint64_t delta_focus_literal = 0;
+  uint64_t delta_literal_family = 0;
   // Star-view traffic of this context's star matcher, root evaluation
   // included (shared caches count each context's own lookups here). Only
   // full evaluations read star views.
@@ -191,7 +197,7 @@ class ChaseContext {
   /// renders the key itself and counts the render.
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q,
                                        const QueryKey& key, OpSequence ops) {
-    return EvaluateAs(DeltaClass::kFull, q, key, std::move(ops), nullptr);
+    return EvaluateAs(DeltaPlan(), q, key, std::move(ops), nullptr);
   }
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops) {
     return Evaluate(q, RenderKey(q), std::move(ops));
@@ -200,22 +206,26 @@ class ChaseContext {
   /// Evaluates child rewrite `q` = parent ⊕ `applied` (DESIGN.md
   /// "Incremental evaluation"), where `parent` is the evaluation of the
   /// proposal's base query (null = none). The operators are monotone in the
-  /// match set (§4):
+  /// match set (§4), and a table of exact rules, chosen by what `applied`
+  /// changed, decides the child from the parent's answer:
   ///
-  ///   relax-only  ops ⇒ Q(G) ⊆ Q'(G)  — the parent's matches carry over;
-  ///                                      only candidates outside them can be
-  ///                                      new,
-  ///   refine-only ops ⇒ Q'(G) ⊆ Q(G)  — only the parent's matches can
-  ///                                      survive.
+  ///   relax           Q(G) ⊆ Q'(G): the parent's matches carry over; only
+  ///                   the child's focus candidates outside them are
+  ///                   verified,
+  ///   refine          Q'(G) ⊆ Q(G): the parent's matches are re-verified,
+  ///   focus literal   AddL/RfL on the focus only: the parent's matches the
+  ///                   child's focus filter admits, with no search,
+  ///   literal family  AddL/RfL on one active non-focus node u only: a
+  ///                   parent match survives when the child's filter at u
+  ///                   admits some node of its projection P_u (built on the
+  ///                   family's second child and memoized per parent and u).
   ///
-  /// Either way only the affected candidates are verified, with the exact
-  /// matcher the full path runs and no star view — so the match set, and
-  /// every closeness value downstream, is identical to a full evaluation.
-  /// When the delta is not provably local (no parent, an empty or no-op
-  /// payload, mixed polarity) the rewrite is evaluated in full and counted
-  /// as a delta_eval.full_fallbacks. Operators on the focus node stay
-  /// incremental: the inclusions are polarity properties of the whole
-  /// pattern. May throw DeadlineExceeded (the engine's anytime stop).
+  /// Every rule is exact and reads no star view, so the match set, and every
+  /// closeness value downstream, is identical to a full evaluation. When the
+  /// delta is not provably local (no parent, an empty or no-op payload,
+  /// mixed polarity) the rewrite is evaluated in full and counted as a
+  /// delta_eval.full_fallbacks. May throw DeadlineExceeded (the engine's
+  /// anytime stop).
   ///
   /// Every form aborts, in every build type, on a query whose focus label
   /// differs from the question's: its matches would lie outside V_{u_o}, and
@@ -297,27 +307,66 @@ class ChaseContext {
   }
 
  private:
-  enum class DeltaClass { kFull, kRelax, kRefine };
+  /// The rules of the delta rule table (DESIGN.md §6), in counter order;
+  /// kFull is no rule: the rewrite is evaluated in full.
+  enum class DeltaRule {
+    kRefine,
+    kRelax,
+    kFocusLiteral,
+    kLiteralFamily,
+    kFull
+  };
+  static constexpr size_t kNumDeltaRules = 4;
+
+  /// A classified payload: its rule and, for the literal rules, the node
+  /// whose filter it tightens.
+  struct DeltaPlan {
+    DeltaRule rule = DeltaRule::kFull;
+    QNodeId node = kNoQNode;
+  };
 
   /// Aborts unless `q`'s focus label is the question's (see Evaluate).
   void RequireQuestionFocus(const PatternQuery& q) const;
 
-  /// kRelax / kRefine when every applied op has that polarity; kFull
-  /// otherwise (empty payload, noops, mixed polarity).
-  static DeltaClass ClassifyDelta(const std::vector<Op>& applied);
+  /// The rule for child `q` = parent ⊕ `applied`: kFull for an empty
+  /// payload, a noop or mixed polarity; kRelax for relax ops; for refine
+  /// ops, kFocusLiteral / kLiteralFamily when all are AddL/RfL on the focus
+  /// / on one active non-focus node, kRefine otherwise.
+  static DeltaPlan ClassifyDelta(const PatternQuery& q,
+                                 const std::vector<Op>& applied);
 
-  /// The one evaluation body: memo, stats, match set (full, or the `cls`
-  /// delta against `parent`), relevance split, cl/cl⁺ and the exemplar test.
-  std::shared_ptr<EvalResult> EvaluateAs(DeltaClass cls, const PatternQuery& q,
+  /// The one evaluation body: memo, stats, match set (full, or decided by
+  /// `delta`'s rule from `parent`), relevance split, cl/cl⁺ and the exemplar
+  /// test.
+  std::shared_ptr<EvalResult> EvaluateAs(DeltaPlan delta, const PatternQuery& q,
                                          const QueryKey& key, OpSequence ops,
                                          const EvalResult* parent);
 
-  /// The child's match set from `parent`'s alone, with no star view: a
-  /// refine child re-verifies the parent's matches; a relax child keeps them
-  /// and verifies only its own focus candidates outside them.
-  std::vector<NodeId> DeltaMatches(DeltaClass cls, const PatternQuery& q,
+  /// The child's match set from `parent`'s under `delta`'s rule, with no
+  /// star view.
+  std::vector<NodeId> DeltaMatches(DeltaPlan delta, const PatternQuery& q,
                                    const QueryKey& key,
                                    const EvalResult& parent);
+
+  /// P_u of `parent`'s literal family at `u`: null for the family's first
+  /// child (decided by the refine rule) and when the projection outgrew the
+  /// memo; built on the second child and memoized.
+  std::shared_ptr<const NodeProjection> FamilyProjection(
+      const EvalResult& parent, QNodeId u);
+
+  /// One (parent, u) literal family: children seen and its projection.
+  struct Family {
+    uint32_t children = 0;
+    bool oversized = false;  // P_u alone exceeds the memo budget
+    std::shared_ptr<const NodeProjection> projection;
+  };
+
+  struct RuleCounters {
+    obs::Counter* children = nullptr;
+    obs::Counter* candidates = nullptr;
+    obs::Counter* survivors = nullptr;
+    obs::Counter* ball_fills = nullptr;
+  };
 
   const Graph& g_;
   WhyQuestion w_;
@@ -334,6 +383,9 @@ class ChaseContext {
   obs::Counter* c_reverified_ = nullptr;
   obs::Counter* c_skipped_ = nullptr;
   obs::Histogram* h_reverify_ns_ = nullptr;
+  RuleCounters c_rules_[kNumDeltaRules];
+  obs::Counter* c_projection_builds_ = nullptr;
+  obs::Counter* c_projection_fallbacks_ = nullptr;
 
   // Warms the private star-view cache and persists it on teardown.
   std::unique_ptr<store::ArtifactStore> owned_store_;
@@ -354,6 +406,12 @@ class ChaseContext {
   std::shared_ptr<EvalResult> root_;
   std::unordered_map<QueryKey, std::vector<NodeId>, QueryKey::Hash>
       match_memo_;
+  // Literal families by parent key, indexed by node. Charged in 4-byte
+  // cells against a budget derived from the graph size; cleared whole when
+  // a new projection would exceed it.
+  std::unordered_map<QueryKey, std::vector<Family>, QueryKey::Hash> families_;
+  size_t family_cells_ = 0;
+  size_t family_budget_ = 0;
   ChaseStats stats_;
   uint64_t graph_fingerprint_ = 0;  // 0 = not yet computed
 };

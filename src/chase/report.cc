@@ -143,6 +143,10 @@ obs::QueryLogRecord ChaseReport::BuildQueryLogRecord(ChaseContext& ctx,
   rec.store_misses = result.stats.store_misses;
   rec.delta_hits = result.stats.delta_hits;
   rec.delta_full_fallbacks = result.stats.delta_full_fallbacks;
+  rec.delta_refine = result.stats.delta_refine;
+  rec.delta_relax = result.stats.delta_relax;
+  rec.delta_focus_literal = result.stats.delta_focus_literal;
+  rec.delta_literal_family = result.stats.delta_literal_family;
 
   if (result.found()) {
     const WhyAnswer& best = result.best();
@@ -202,6 +206,14 @@ std::string ChaseReport::ExplainText(const obs::QueryLogRecord& rec) {
                 static_cast<unsigned long long>(rec.delta_hits),
                 static_cast<unsigned long long>(rec.delta_full_fallbacks),
                 static_cast<unsigned long long>(rec.bound_cuts));
+  out << line;
+  std::snprintf(line, sizeof(line),
+                "  delta rules: refine %llu / relax %llu / focus_literal %llu "
+                "/ literal_family %llu\n",
+                static_cast<unsigned long long>(rec.delta_refine),
+                static_cast<unsigned long long>(rec.delta_relax),
+                static_cast<unsigned long long>(rec.delta_focus_literal),
+                static_cast<unsigned long long>(rec.delta_literal_family));
   out << line;
 
   out << "  applied operators (" << rec.ops.size() << "):\n";

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 
 #include "common/thread_pool.h"
@@ -226,6 +229,32 @@ bool Matcher::Viable(const PatternQuery& q, const MatchPlan& plan,
   return true;
 }
 
+bool Matcher::AdmitCandidate(const PatternQuery& q, const MatchPlan& plan,
+                             const PlanStep& step,
+                             const std::vector<NodeId>& assign,
+                             const std::vector<NodeId>* ok_set, NodeId v) {
+  if (ok_set != nullptr &&
+      !std::binary_search(ok_set->begin(), ok_set->end(), v)) {
+    return false;
+  }
+  // Injectivity.
+  if (std::find(assign.begin(), assign.end(), v) != assign.end()) return false;
+  // Remaining edge constraints to already-assigned nodes.
+  for (const PlanStep::Check& check : step.checks) {
+    const NodeId other_match = assign[check.other];
+    // Const distance path with this matcher's own BFS scratch (no sweep is
+    // in flight here: balls are swept whole before they are walked), so
+    // worker matchers can share one frozen DistanceIndex.
+    const uint32_t d = check.outgoing
+                           ? dist_->Distance(v, other_match, check.bound, bfs_)
+                           : dist_->Distance(other_match, v, check.bound, bfs_);
+    if (d == kInfDist) return false;
+  }
+  // Last, since it may sweep a ball: some later step anchored on v's node
+  // has nothing to draw from.
+  return Viable(q, plan, step.dependents, v);
+}
+
 bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
                      std::vector<NodeId>& assign, size_t limit, size_t& emitted,
                      const Allowed* allowed, const ValuationFn& cb) {
@@ -239,42 +268,33 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
   const BallSpan ball = Ball(q, plan, depth, assign[step.anchor]);
   const std::vector<NodeId>* ok_set =
       allowed != nullptr ? (*allowed)[step.node] : nullptr;
+  ProjectionRun* const run = projection_;
+  const bool projected_step = run != nullptr && depth == run->depth;
   for (uint32_t i = 0; i < ball.size; ++i) {
     // Indexed rather than iterated: fills in deeper frames may grow (and
     // reallocate) the arena.
     const NodeId v = ball_cells_[ball.begin + i];
     ++stats_.node_expansions;
-    if (ok_set != nullptr &&
-        !std::binary_search(ok_set->begin(), ok_set->end(), v)) {
-      continue;
-    }
-    // Injectivity.
-    if (std::find(assign.begin(), assign.end(), v) != assign.end()) continue;
-    // Remaining edge constraints to already-assigned nodes.
-    bool ok = true;
-    for (const PlanStep::Check& check : step.checks) {
-      const NodeId other_match = assign[check.other];
-      // Const distance path with this matcher's own BFS scratch (no sweep
-      // is in flight here: balls are swept whole before they are walked),
-      // so worker matchers can share one frozen DistanceIndex.
-      const uint32_t d =
-          check.outgoing
-              ? dist_->Distance(v, other_match, check.bound, bfs_)
-              : dist_->Distance(other_match, v, check.bound, bfs_);
-      if (d == kInfDist) {
-        ok = false;
-        break;
+    if (run != nullptr) {
+      if (stats_.node_expansions > run->state_limit) {
+        run->over_cap = true;
+        return false;
       }
+      // A projection already holding v needs no second valuation for it.
+      if (projected_step && marks_[v] == mark_epoch_) continue;
     }
-    if (!ok) continue;
-    // Last, since it may sweep a ball: some later step anchored on v's node
-    // has nothing to draw from.
-    if (!Viable(q, plan, step.dependents, v)) continue;
+    if (!AdmitCandidate(q, plan, step, assign, ok_set, v)) continue;
     assign[step.node] = v;
     const bool keep_going =
         Extend(q, plan, depth + 1, assign, limit, emitted, allowed, cb);
     assign[step.node] = kInvalidNode;
     if (!keep_going) return false;
+    if (run != nullptr && run->found) {
+      // Unwind to the projected step: the rest of this subtree shares its
+      // h(u), which the projection now holds.
+      if (!projected_step) return true;
+      run->found = false;
+    }
   }
   return true;
 }
@@ -321,6 +341,46 @@ bool Matcher::IsMatch(const PatternQuery& q, const QueryKey& key, NodeId v) {
 bool Matcher::IsMatchRestricted(const PatternQuery& q, const MatchPlan& plan,
                                 NodeId v, const Allowed& allowed) {
   return HasWitness(q, plan, v, &allowed);
+}
+
+bool Matcher::Project(const PatternQuery& q, const MatchPlan& plan, NodeId v,
+                      QNodeId u, uint64_t max_states,
+                      std::vector<NodeId>* out) {
+  ProjectionRun run;
+  while (run.depth < plan.steps.size() && plan.steps[run.depth].node != u) {
+    ++run.depth;
+  }
+  if (run.depth == plan.steps.size()) {
+    std::fprintf(stderr, "Matcher::Project: u%u is not an active non-focus "
+                         "node of the plan\n", static_cast<unsigned>(u));
+    std::abort();
+  }
+  if (marks_.size() != g_.num_nodes()) {
+    marks_.assign(g_.num_nodes(), 0);
+    mark_epoch_ = 0;
+  }
+  if (++mark_epoch_ == 0) {  // wrapped: no stale mark may equal the epoch
+    std::fill(marks_.begin(), marks_.end(), 0);
+    mark_epoch_ = 1;
+  }
+  const uint64_t start = stats_.node_expansions;
+  run.state_limit = start + max_states;
+  projection_ = &run;
+  // Detach the run on every exit, so a later plain search never sees it.
+  struct Detach {
+    Matcher* m;
+    ~Detach() { m->projection_ = nullptr; }
+  } detach{this};
+  Probe(q, plan, v, std::numeric_limits<size_t>::max(), nullptr,
+        [&](const std::vector<NodeId>& assign) {
+          const NodeId w = assign[u];
+          marks_[w] = mark_epoch_;
+          out->push_back(w);
+          run.found = true;
+          return true;
+        });
+  stats_.projection_states += stats_.node_expansions - start;
+  return !run.over_cap;
 }
 
 std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q,

@@ -29,6 +29,7 @@ struct MatchStats {
   uint64_t ball_fills = 0;           // filtered balls swept into the memo
   uint64_t ball_evictions = 0;       // whole-memo resets at the cell budget
   uint64_t forward_prunes = 0;       // candidates cut by an empty later ball
+  uint64_t projection_states = 0;    // node_expansions of Project searches
 
   /// Folds another thread's counters into this one (ordered reductions after
   /// parallel verification; all counters are commutative sums).
@@ -43,6 +44,7 @@ struct MatchStats {
     ball_fills += other.ball_fills;
     ball_evictions += other.ball_evictions;
     forward_prunes += other.forward_prunes;
+    projection_states += other.projection_states;
   }
 };
 
@@ -195,6 +197,17 @@ class Matcher {
                   NodeId focus_match, size_t limit,
                   const std::function<bool(const std::vector<NodeId>&)>& cb);
 
+  /// The projection of `q`'s valuations with h(focus) = `v` onto the active
+  /// non-focus node `u`: appends every distinct h(u) to `out`, in search
+  /// order. The search is the plain one against `plan`, except that it
+  /// skips a candidate of u it already holds and, once a valuation is found
+  /// below h(u) = w, returns to u's step instead of enumerating w's other
+  /// completions. Returns false, leaving `out` incomplete, when the search
+  /// would visit more than `max_states` states. Its states count into
+  /// node_expansions and projection_states.
+  bool Project(const PatternQuery& q, const MatchPlan& plan, NodeId v,
+               QNodeId u, uint64_t max_states, std::vector<NodeId>* out);
+
   MatchStats& stats() { return stats_; }
   const Graph& graph() const { return g_; }
   DistanceIndex& dist() { return *dist_; }
@@ -237,9 +250,28 @@ class Matcher {
   bool Viable(const PatternQuery& q, const MatchPlan& plan,
               const std::vector<uint32_t>& dependents, NodeId v);
 
+  /// Whether `v` may be assigned to `step`'s node below `assign`: in the
+  /// step's allowed set (`ok_set`, null = any), not yet assigned
+  /// (injectivity), within bound of every assigned neighbor it is checked
+  /// against, and viable for the later steps anchored on it (forward check).
+  bool AdmitCandidate(const PatternQuery& q, const MatchPlan& plan,
+                      const PlanStep& step, const std::vector<NodeId>& assign,
+                      const std::vector<NodeId>* ok_set, NodeId v);
+
+  /// The backtracking search from plan step `depth`. Inside Project it also
+  /// skips the projected step's held nodes and unwinds to that step after
+  /// each valuation found.
   bool Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
               std::vector<NodeId>& assign, size_t limit, size_t& emitted,
               const Allowed* allowed, const ValuationFn& cb);
+
+  /// The state of a Project search, seen by Extend while it runs.
+  struct ProjectionRun {
+    size_t depth = 0;          // plan step that assigns the projected node
+    uint64_t state_limit = 0;  // node_expansions past which the run gives up
+    bool found = false;        // a valuation was found below the current h(u)
+    bool over_cap = false;
+  };
 
   /// A memoized filtered ball: ball_cells_[begin, begin + size).
   struct BallSpan {
@@ -270,6 +302,12 @@ class Matcher {
   /// ShardProbes' worker matchers, one per slot >= 1 (null until that slot
   /// first probes).
   std::vector<std::unique_ptr<Matcher>> workers_;
+
+  // Project state: the running search (null otherwise) and the nodes it
+  // holds, marked with the current epoch in an array over node ids.
+  ProjectionRun* projection_ = nullptr;
+  std::vector<uint32_t> marks_;
+  uint32_t mark_epoch_ = 0;
 
   // Filtered-ball memo. Spans index the arena, so a fill may grow it while
   // outer Extend frames iterate theirs.

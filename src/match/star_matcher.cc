@@ -50,6 +50,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
     c_plan_compiles_ = c_plan_hits_ = nullptr;
     c_stage_seeded_ = c_stage_filtered_ = c_stage_verified_ = nullptr;
     c_ball_hits_ = c_ball_fills_ = c_forward_prunes_ = nullptr;
+    c_projection_states_ = nullptr;
     return;
   }
   c_tables_built_ = &o->metrics.counter("match.tables_built");
@@ -63,6 +64,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
   c_ball_hits_ = &o->metrics.counter("match.ball.hits");
   c_ball_fills_ = &o->metrics.counter("match.ball.fills");
   c_forward_prunes_ = &o->metrics.counter("match.forward_prunes");
+  c_projection_states_ = &o->metrics.counter("match.projection_states");
   // Registry deltas start from the matcher's current totals so re-attaching
   // a scope never replays activity observed by a previous one.
   plan_builds_seen_ = matcher_.stats().plan_builds;
@@ -72,6 +74,7 @@ void StarMatcher::set_observability(obs::Observability* o) {
   ball_hits_seen_ = matcher_.stats().ball_hits;
   ball_fills_seen_ = matcher_.stats().ball_fills;
   forward_prunes_seen_ = matcher_.stats().forward_prunes;
+  projection_states_seen_ = matcher_.stats().projection_states;
 }
 
 void StarMatcher::FlushPlanCounters() {
@@ -84,6 +87,7 @@ void StarMatcher::FlushPlanCounters() {
   c_ball_hits_->Inc(s.ball_hits - ball_hits_seen_);
   c_ball_fills_->Inc(s.ball_fills - ball_fills_seen_);
   c_forward_prunes_->Inc(s.forward_prunes - forward_prunes_seen_);
+  c_projection_states_->Inc(s.projection_states - projection_states_seen_);
   plan_builds_seen_ = s.plan_builds;
   plan_hits_seen_ = s.plan_cache_hits;
   stage_seeded_seen_ = s.candidates_seeded;
@@ -91,6 +95,7 @@ void StarMatcher::FlushPlanCounters() {
   ball_hits_seen_ = s.ball_hits;
   ball_fills_seen_ = s.ball_fills;
   forward_prunes_seen_ = s.forward_prunes;
+  projection_states_seen_ = s.projection_states;
 }
 
 match::CandidateSet StarMatcher::FocusCandidates(const PatternQuery& q,
@@ -223,6 +228,74 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
   if (c_stage_verified_ != nullptr) c_stage_verified_->Inc(matches.size());
   FlushPlanCounters();
   return matches;
+}
+
+void NodeProjection::Decide(const GraphView& view,
+                            const match::FilterPlan& filter,
+                            const std::vector<NodeId>& matches,
+                            std::vector<NodeId>* keep,
+                            std::vector<NodeId>* verify) const {
+  // Every domain node passed the parent's filter at u, label included.
+  std::vector<uint8_t> admitted(domain.size());
+  for (size_t j = 0; j < domain.size(); ++j) {
+    admitted[j] = filter.AdmitsAttrs(view, domain[j]) ? 1 : 0;
+  }
+  for (size_t i = 0; i < matches.size(); ++i) {
+    if (!projected[i]) {
+      verify->push_back(matches[i]);
+      continue;
+    }
+    for (uint32_t c = offsets[i]; c < offsets[i + 1]; ++c) {
+      if (admitted[cells[c]]) {
+        keep->push_back(matches[i]);
+        break;
+      }
+    }
+  }
+}
+
+NodeProjection StarMatcher::ProjectNode(const PatternQuery& q,
+                                        const QueryKey& key,
+                                        const std::vector<NodeId>& matches,
+                                        QNodeId u, uint64_t max_states) {
+  // The verification layer's work: traced with it, so phase shares keep
+  // their names.
+  WQE_SPAN("match.verify");
+  const Matcher::MatchPlan& plan = matcher_.PlanFor(q, key);
+  std::vector<std::vector<NodeId>> found(matches.size());
+  std::vector<uint8_t> complete(matches.size(), 0);
+  matcher_.ShardProbes(num_threads_, matches.size(), /*grain=*/4,
+                       [&](Matcher& m, size_t i) {
+                         MaybeThrowIfExpired(deadline_, i);
+                         complete[i] = m.Project(q, plan, matches[i], u,
+                                                 max_states, &found[i])
+                                           ? 1
+                                           : 0;
+                       });
+  NodeProjection p;
+  p.projected = std::move(complete);
+  for (size_t i = 0; i < matches.size(); ++i) {
+    if (!p.projected[i]) {
+      found[i].clear();
+      ++p.fallbacks;
+    }
+    p.domain.insert(p.domain.end(), found[i].begin(), found[i].end());
+  }
+  std::sort(p.domain.begin(), p.domain.end());
+  p.domain.erase(std::unique(p.domain.begin(), p.domain.end()),
+                 p.domain.end());
+  p.offsets.reserve(matches.size() + 1);
+  p.offsets.push_back(0);
+  for (const std::vector<NodeId>& ws : found) {
+    for (const NodeId w : ws) {
+      p.cells.push_back(static_cast<uint32_t>(
+          std::lower_bound(p.domain.begin(), p.domain.end(), w) -
+          p.domain.begin()));
+    }
+    p.offsets.push_back(static_cast<uint32_t>(p.cells.size()));
+  }
+  FlushPlanCounters();
+  return p;
 }
 
 StarMatcher::Evaluation StarMatcher::Evaluate(

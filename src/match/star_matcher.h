@@ -36,6 +36,33 @@ struct StarEvalState {
   std::vector<std::shared_ptr<const StarTable>> tables;
 };
 
+/// The parent valuations' values at one active non-focus node u, per parent
+/// match v: P_u(v) = { h(u) : h a valuation with h(u_o) = v }, stored as
+/// indices into the union of all of them (`domain`), so a child that only
+/// tightens u's filter tests each distinct node once (DESIGN.md §6, the
+/// literal-family rule).
+struct NodeProjection {
+  std::vector<NodeId> domain;      // ∪_v P_u(v), ascending
+  std::vector<uint32_t> offsets;   // match i: cells[offsets[i], offsets[i+1])
+  std::vector<uint32_t> cells;     // indices into `domain`
+  std::vector<uint8_t> projected;  // 0: match i's search passed the cap
+  size_t fallbacks = 0;            // matches with projected[i] == 0
+
+  /// Memory held, in 4-byte cells (what a memo charges for it).
+  size_t Cells() const {
+    return domain.size() + offsets.size() + cells.size() +
+           (projected.size() + 3) / 4;
+  }
+
+  /// Decides the child whose filter at u is `filter` (the parent's,
+  /// tightened) over the parent's `matches`, in order: a projected match
+  /// goes to `keep` when `filter` admits some node of its projection, an
+  /// unprojected one to `verify`. Each domain node is tested once.
+  void Decide(const GraphView& view, const match::FilterPlan& filter,
+              const std::vector<NodeId>& matches, std::vector<NodeId>* keep,
+              std::vector<NodeId>* verify) const;
+};
+
 /// Star-view evaluation of Q(G) (procedure Match, §5.2):
 ///   1. decompose Q into a star view Q.S,
 ///   2. materialize (or fetch from the cache) each star table,
@@ -149,6 +176,16 @@ class StarMatcher {
                             allowed, priority);
   }
 
+  /// P_u over `matches` (Q(G), as evaluated) for the active non-focus node
+  /// `u`: one Matcher::Project search per match against q's plan, sharded
+  /// through Matcher::ShardProbes with index-addressed output, checking an
+  /// armed deadline every kDeadlineCheckStride matches. A match whose search
+  /// passes `max_states` states is left unprojected. Bumps the
+  /// match.projection_states registry counter.
+  NodeProjection ProjectNode(const PatternQuery& q, const QueryKey& key,
+                             const std::vector<NodeId>& matches, QNodeId u,
+                             uint64_t max_states);
+
   StarEvalStats& stats() { return stats_; }
   Matcher& matcher() { return matcher_; }
 
@@ -180,6 +217,7 @@ class StarMatcher {
   obs::Counter* c_ball_hits_ = nullptr;
   obs::Counter* c_ball_fills_ = nullptr;
   obs::Counter* c_forward_prunes_ = nullptr;
+  obs::Counter* c_projection_states_ = nullptr;
   // Stats snapshots behind the registry deltas (counters are monotone).
   uint64_t plan_builds_seen_ = 0;
   uint64_t plan_hits_seen_ = 0;
@@ -188,6 +226,7 @@ class StarMatcher {
   uint64_t ball_hits_seen_ = 0;
   uint64_t ball_fills_seen_ = 0;
   uint64_t forward_prunes_seen_ = 0;
+  uint64_t projection_states_seen_ = 0;
 };
 
 }  // namespace wqe

@@ -26,8 +26,26 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "chase.ops_generated",
     "chase.pruned",
     "chase.steps",
+    "delta_eval.focus_literal.ball_fills",
+    "delta_eval.focus_literal.candidates",
+    "delta_eval.focus_literal.children",
+    "delta_eval.focus_literal.survivors",
     "delta_eval.full_fallbacks",
     "delta_eval.hits",
+    "delta_eval.literal_family.ball_fills",
+    "delta_eval.literal_family.candidates",
+    "delta_eval.literal_family.children",
+    "delta_eval.literal_family.survivors",
+    "delta_eval.projection_builds",
+    "delta_eval.projection_fallbacks",
+    "delta_eval.refine.ball_fills",
+    "delta_eval.refine.candidates",
+    "delta_eval.refine.children",
+    "delta_eval.refine.survivors",
+    "delta_eval.relax.ball_fills",
+    "delta_eval.relax.candidates",
+    "delta_eval.relax.children",
+    "delta_eval.relax.survivors",
     "delta_eval.reverified",
     "delta_eval.skipped",
     "match.ball.fills",
@@ -37,6 +55,7 @@ inline constexpr std::string_view kKnownMetricNames[] = {
     "match.forward_prunes",
     "match.plan.compiles",
     "match.plan.hits",
+    "match.projection_states",
     "match.stage.filtered",
     "match.stage.seeded",
     "match.stage.verified",

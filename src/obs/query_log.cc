@@ -72,6 +72,10 @@ std::string QueryLogRecord::ToJson() const {
       << ",\"bound_cuts\":" << bound_cuts
       << ",\"delta_hits\":" << delta_hits
       << ",\"delta_full_fallbacks\":" << delta_full_fallbacks
+      << ",\"delta_refine\":" << delta_refine
+      << ",\"delta_relax\":" << delta_relax
+      << ",\"delta_focus_literal\":" << delta_focus_literal
+      << ",\"delta_literal_family\":" << delta_literal_family
       << ",\"cache_hits\":" << cache_hits
       << ",\"cache_misses\":" << cache_misses
       << ",\"tables_built\":" << tables_built
@@ -125,6 +129,10 @@ Result<QueryLogRecord> QueryLogRecord::FromJson(const JsonValue& v) {
   rec.bound_cuts = U64Or(v, "bound_cuts", 0);
   rec.delta_hits = U64Or(v, "delta_hits", 0);
   rec.delta_full_fallbacks = U64Or(v, "delta_full_fallbacks", 0);
+  rec.delta_refine = U64Or(v, "delta_refine", 0);
+  rec.delta_relax = U64Or(v, "delta_relax", 0);
+  rec.delta_focus_literal = U64Or(v, "delta_focus_literal", 0);
+  rec.delta_literal_family = U64Or(v, "delta_literal_family", 0);
   rec.cache_hits = U64Or(v, "cache_hits", 0);
   rec.cache_misses = U64Or(v, "cache_misses", 0);
   rec.tables_built = U64Or(v, "tables_built", 0);

@@ -65,6 +65,11 @@ struct QueryLogRecord {
   // ---- incremental evaluation (deltas for this solve) ---------------------
   uint64_t delta_hits = 0;            // evaluations served by the delta path
   uint64_t delta_full_fallbacks = 0;  // deltas not provably local
+  // delta_hits by the rule that decided each child (DESIGN.md §6)
+  uint64_t delta_refine = 0;
+  uint64_t delta_relax = 0;
+  uint64_t delta_focus_literal = 0;
+  uint64_t delta_literal_family = 0;
 
   // ---- caches & views consulted (deltas for this solve) -------------------
   uint64_t cache_hits = 0;     // ViewCache

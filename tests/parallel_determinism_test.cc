@@ -248,6 +248,36 @@ TEST(ParallelDeterminismTest, WorkerStatsMergeIntoTheCaller) {
   EXPECT_EQ(refine_counts[0], refine_counts[1]);
 }
 
+// The AnsWb baseline evaluation shards its focus probes over the context's
+// thread count: the same answers, and the same probe counters once the
+// workers' stats merge into the caller, at 1 and 4 threads.
+TEST(ParallelDeterminismTest, BaselineEvaluationAgreesAcrossThreadCounts) {
+  Graph g = GenerateGraph(ImdbLike(0.04));
+  WhyFactoryOptions fopts;
+  fopts.query.num_edges = 2;
+  fopts.disturb.num_ops = 2;
+  fopts.seed = 7;
+  auto cases = MakeBenchCases(g, 3, fopts);
+  ASSERT_FALSE(cases.empty());
+  GraphIndexes indexes(g, 1);
+  std::vector<std::vector<NodeId>> matches[2];
+  uint64_t verifications[2] = {0, 0};
+  for (const size_t t : {0, 1}) {
+    const size_t threads = t == 0 ? 1 : 4;
+    for (const BenchCase& c : cases) {
+      ChaseContext ctx(g, &indexes, c.question, BaseOptions(threads));
+      const MatchStats& stats = ctx.star_matcher().matcher().stats();
+      const uint64_t before = stats.focus_verifications;
+      matches[t].push_back(
+          ctx.EvaluateBaseline(c.question.query, OpSequence(), 0)->matches);
+      verifications[t] += stats.focus_verifications - before;
+    }
+  }
+  EXPECT_EQ(matches[0], matches[1]);
+  EXPECT_GT(verifications[0], 100u);
+  EXPECT_EQ(verifications[0], verifications[1]);
+}
+
 TEST(ParallelDeterminismTest, ParallelDistanceIndexBuildMatchesSerial) {
   Graph g = GenerateGraph(ImdbLike(0.05));
   DistanceIndex::Options serial_opts;

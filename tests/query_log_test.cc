@@ -52,6 +52,12 @@ obs::QueryLogRecord SampleRecord(int i) {
   rec.tables_built = 3;
   rec.store_hits = 1;
   rec.store_misses = 2;
+  rec.delta_hits = 90;
+  rec.delta_full_fallbacks = 1;
+  rec.delta_refine = 11;
+  rec.delta_relax = 12;
+  rec.delta_focus_literal = 30;
+  rec.delta_literal_family = 37;
   rec.ops.push_back({"RxB(u0->u1 2->3)", "relax", 1.5});
   rec.ops.push_back({"AddL(u1.name = \"x\")", "refine", 1.0});
   obs::PhaseStat phase;
@@ -97,6 +103,12 @@ TEST(QueryLogRecordTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(r.tables_built, rec.tables_built);
   EXPECT_EQ(r.store_hits, rec.store_hits);
   EXPECT_EQ(r.store_misses, rec.store_misses);
+  EXPECT_EQ(r.delta_hits, rec.delta_hits);
+  EXPECT_EQ(r.delta_full_fallbacks, rec.delta_full_fallbacks);
+  EXPECT_EQ(r.delta_refine, rec.delta_refine);
+  EXPECT_EQ(r.delta_relax, rec.delta_relax);
+  EXPECT_EQ(r.delta_focus_literal, rec.delta_focus_literal);
+  EXPECT_EQ(r.delta_literal_family, rec.delta_literal_family);
   ASSERT_EQ(r.ops.size(), 2u);
   EXPECT_EQ(r.ops[0].text, rec.ops[0].text);
   EXPECT_EQ(r.ops[0].kind, "relax");

@@ -500,6 +500,55 @@ TEST(MetricInventoryTest, SolvesReportRenderAndForwardPruneCounters) {
   EXPECT_TRUE(counters.count("match.forward_prunes"));
 }
 
+TEST(MetricInventoryTest, SolvesSplitDeltaChildrenByRule) {
+  Graph g = TestGraph();
+  const auto cases = TestCases(g, 1);
+  ASSERT_FALSE(cases.empty());
+  obs::Observability scope;
+  Request req = MakeRequest(cases[0], 1);
+  req.options.observability = &scope;
+  const Response resp = Execute(g, req);
+  ASSERT_TRUE(resp.ok());
+
+  std::map<std::string, uint64_t> counters;
+  scope.metrics.ForEachCounter(
+      [&counters](const std::string& name, uint64_t value) {
+        counters[name] = value;
+      });
+  uint64_t children = 0;
+  uint64_t fills = 0;
+  for (const char* rule :
+       {"refine", "relax", "focus_literal", "literal_family"}) {
+    for (const char* what :
+         {"children", "candidates", "survivors", "ball_fills"}) {
+      const std::string name =
+          std::string("delta_eval.") + rule + "." + what;
+      ASSERT_TRUE(counters.count(name)) << name;
+      EXPECT_TRUE(obs::IsKnownMetricName(name)) << name;
+    }
+    children += counters[std::string("delta_eval.") + rule + ".children"];
+    fills += counters[std::string("delta_eval.") + rule + ".ball_fills"];
+  }
+  // The root's evaluation fills balls outside every rule.
+  EXPECT_LE(fills, counters["match.ball.fills"]);
+  for (const char* name :
+       {"delta_eval.projection_builds", "delta_eval.projection_fallbacks",
+        "match.projection_states"}) {
+    EXPECT_TRUE(counters.count(name)) << name;
+  }
+  // Every delta child is decided by exactly one rule, and the solve's
+  // ChaseStats carry the same split as the registry.
+  ASSERT_GT(counters["delta_eval.hits"], 0u);
+  EXPECT_EQ(children, counters["delta_eval.hits"]);
+  const ChaseStats& s = resp.result.stats;
+  EXPECT_EQ(s.delta_refine, counters["delta_eval.refine.children"]);
+  EXPECT_EQ(s.delta_relax, counters["delta_eval.relax.children"]);
+  EXPECT_EQ(s.delta_focus_literal,
+            counters["delta_eval.focus_literal.children"]);
+  EXPECT_EQ(s.delta_literal_family,
+            counters["delta_eval.literal_family.children"]);
+}
+
 TEST(MetricInventoryTest, DesignDocTableListsEveryCanonicalName) {
   std::ifstream in(WQE_SOURCE_DIR "/DESIGN.md");
   ASSERT_TRUE(in.good()) << "DESIGN.md not found at " WQE_SOURCE_DIR;

@@ -258,13 +258,17 @@ logged() {
 }
 EXPLAIN_VIEWS="$(sed -n 's/^  views: cache \([0-9]*\) hit \/ \([0-9]*\) miss, \([0-9]*\) tables built | store \([0-9]*\) hit \/ \([0-9]*\) miss$/\1 \2 \3 \4 \5/p' "$DRILL/explain.txt")"
 EXPLAIN_DELTA="$(sed -n 's/^  delta: \([0-9]*\) incremental \/ \([0-9]*\) full, \([0-9]*\) bound cuts$/\1 \2 \3/p' "$DRILL/explain.txt")"
+EXPLAIN_RULES="$(sed -n 's/^  delta rules: refine \([0-9]*\) \/ relax \([0-9]*\) \/ focus_literal \([0-9]*\) \/ literal_family \([0-9]*\)$/\1 \2 \3 \4/p' "$DRILL/explain.txt")"
 LOG_VIEWS="$(logged cache_hits cache_misses tables_built store_hits store_misses)"
 LOG_DELTA="$(logged delta_hits delta_full_fallbacks bound_cuts)"
+LOG_RULES="$(logged delta_refine delta_relax delta_focus_literal delta_literal_family)"
 [ -n "$EXPLAIN_VIEWS" ] && [ "$EXPLAIN_VIEWS" = "$LOG_VIEWS" ] || {
   echo "drill: explain views '$EXPLAIN_VIEWS' != query-log line '$LOG_VIEWS'"; exit 1; }
 [ -n "$EXPLAIN_DELTA" ] && [ "$EXPLAIN_DELTA" = "$LOG_DELTA" ] || {
   echo "drill: explain delta '$EXPLAIN_DELTA' != query-log line '$LOG_DELTA'"; exit 1; }
-echo "drill: explain and query-log line agree (views $EXPLAIN_VIEWS; delta $EXPLAIN_DELTA)"
+[ -n "$EXPLAIN_RULES" ] && [ "$EXPLAIN_RULES" = "$LOG_RULES" ] || {
+  echo "drill: explain delta rules '$EXPLAIN_RULES' != query-log line '$LOG_RULES'"; exit 1; }
+echo "drill: explain and query-log line agree (views $EXPLAIN_VIEWS; delta $EXPLAIN_DELTA; rules $EXPLAIN_RULES)"
 
 echo "== ThreadSanitizer build =="
 cmake -B build-tsan -S . -DWQE_SANITIZE=thread \
@@ -272,8 +276,8 @@ cmake -B build-tsan -S . -DWQE_SANITIZE=thread \
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test matcher_test \
   matcher_property_test star_matcher_test star_table_test \
-  distance_index_test answ_test delta_eval_test serve_test obs_test \
-  telemetry_test
+  distance_index_test answ_test delta_eval_test delta_rules_test serve_test \
+  obs_test telemetry_test
 (cd build-tsan && ctest --output-on-failure -R \
   'ThreadPool|ParallelFor|PerThread|ParallelDeterminism|Matcher|ForwardCheck|StarMatcher|StarTableOracle|DistanceIndex|AnsW|DeltaEval|Serve|ObsFold|SlidingHistogram|FlightRecorder|TelemetryServer')
 
